@@ -110,13 +110,33 @@ def backend_name() -> str:
     return _BACKEND.NAME
 
 
+def model_bits(n: int, nag: int, nat: int) -> int:
+    """Index bits of an n-world model over nag agents and nat atoms."""
+    return n * n * nag + n * nat
+
+
 def run_range(prog: Program, n: int, start: int, stop: int, impl=None):
+    """First failure among model indices [start, stop), as
+    (index, world, checked) or (-1, -1, checked); both ends lie in
+    [0, 2**B]."""
+    B = model_bits(n, len(prog.agents), len(prog.atoms))
+    if not (0 <= start <= 1 << B and 0 <= stop <= 1 << B):
+        raise KripkitError("index-out-of-range",
+                           f"range [{start}, {stop}) outside [0, 2**{B}] "
+                           f"at {n} worlds")
     b = impl if impl is not None else _BACKEND
     return b.check_range(prog.kinds, prog.a1, prog.a2, prog.a3, prog.root,
                          n, len(prog.agents), len(prog.atoms), start, stop)
 
 
 def run_one(prog: Program, n: int, idx: int, impl=None):
+    """Smallest world where the root fails on model idx, or -1; idx lies
+    in [0, 2**B)."""
+    B = model_bits(n, len(prog.agents), len(prog.atoms))
+    if not 0 <= idx < 1 << B:
+        raise KripkitError("index-out-of-range",
+                           f"model index {idx} outside [0, 2**{B}) "
+                           f"at {n} worlds")
     b = impl if impl is not None else _BACKEND
     return b.check_one(prog.kinds, prog.a1, prog.a2, prog.a3, prog.root,
                        n, len(prog.agents), len(prog.atoms), idx)

@@ -132,48 +132,42 @@ class Complexity:
 _WITNESS = Atom("p")
 
 
+def symbols_of(phi: Formula) -> tuple:
+    """(atom names, agent names) mentioned, in one walk over the formula.
+
+    Atoms are collected before desugaring, so the Bot witness is not counted.
+    """
+    atoms, agents = set(), set()
+    todo = [phi]
+    while todo:
+        f = todo.pop()
+        if isinstance(f, Atom):
+            atoms.add(f.name)
+        elif isinstance(f, Not):
+            todo.append(f.sub)
+        elif isinstance(f, (And, Or, Implies, Iff)):
+            todo += (f.left, f.right)
+        elif isinstance(f, K):
+            agents.add(f.agent)
+            todo.append(f.sub)
+        elif isinstance(f, (D, See)):
+            agents.update(f.group)
+            todo.append(f.sub)
+        elif isinstance(f, Eee):
+            todo.append(f.sub)
+        elif isinstance(f, (Sse, Dhat)):
+            agents.update(f.group)
+            todo += (f.topic, f.sub)
+    return frozenset(atoms), frozenset(agents)
+
+
 def atoms_of(phi: Formula) -> frozenset:
     """Atom names mentioned (before desugaring; the Bot witness not counted)."""
-    out = set()
-
-    def go(f):
-        if isinstance(f, Atom):
-            out.add(f.name)
-        elif isinstance(f, Not):
-            go(f.sub)
-        elif isinstance(f, (And, Or, Implies, Iff)):
-            go(f.left), go(f.right)
-        elif isinstance(f, (K, D, Eee, See)):
-            go(f.sub)
-        elif isinstance(f, (Sse, Dhat)):
-            go(f.topic), go(f.sub)
-
-    go(phi)
-    return frozenset(out)
+    return symbols_of(phi)[0]
 
 
 def agents_of(phi: Formula) -> frozenset:
-    out = set()
-
-    def go(f):
-        if isinstance(f, K):
-            out.add(f.agent)
-            go(f.sub)
-        elif isinstance(f, (D, See)):
-            out.update(f.group)
-            go(f.sub)
-        elif isinstance(f, Eee):
-            go(f.sub)
-        elif isinstance(f, (Sse, Dhat)):
-            out.update(f.group)
-            go(f.topic), go(f.sub)
-        elif isinstance(f, Not):
-            go(f.sub)
-        elif isinstance(f, (And, Or, Implies, Iff)):
-            go(f.left), go(f.right)
-
-    go(phi)
-    return frozenset(out)
+    return symbols_of(phi)[1]
 
 
 def desugar(phi: Formula) -> Formula:
@@ -212,55 +206,71 @@ def desugar(phi: Formula) -> Formula:
     raise TypeError(type(phi))
 
 
+# The (ndc, nsc) pair of a node is computed once, from its children's
+# pairs, and kept on the node under this one attribute; a second lazily set
+# attribute would cost every node a full instance dict. Equal pairs are
+# shared through _PAIRS (one entry per distinct pair, a few hundred over
+# hundreds of stacked-update translations), so the cache adds no tuple per
+# node. Construction, equality and hashing are untouched: the attribute is
+# not a dataclass field.
+_MEASURES = "_measures_"
+_PAIRS: dict = {}
+
+
+def _measures(phi: Formula) -> tuple:
+    """(ndc, nsc) of phi, cached on each node."""
+    got = getattr(phi, _MEASURES, None)
+    if got is not None:
+        return got
+    if isinstance(phi, Atom):
+        pair = (0, 1)
+    elif isinstance(phi, Bot):
+        pair = (0, 3)  # measures its desugared form p & ~p
+    elif isinstance(phi, Top):
+        pair = (0, 4)
+    elif isinstance(phi, (Not, K, D)):
+        d, s = _measures(phi.sub)
+        pair = (d, 1 + s)
+    elif isinstance(phi, (And, Or, Implies, Iff)):
+        d1, s1 = _measures(phi.left)
+        d2, s2 = _measures(phi.right)
+        pair = (max(d1, d2), 1 + max(s1, s2))
+    elif isinstance(phi, (Eee, See)):
+        d, s = _measures(phi.sub)
+        pair = (1 + d, 2 * s)
+    elif isinstance(phi, Sse):
+        dt, st = _measures(phi.topic)
+        ds, ss = _measures(phi.sub)
+        pair = (1 + dt + ds, (8 + st) * ss)
+    elif isinstance(phi, Dhat):
+        dt, _ = _measures(phi.topic)
+        ds, ss = _measures(phi.sub)
+        pair = (max(dt, ds), 7 + ss)
+    else:
+        raise TypeError(type(phi))
+    pair = _PAIRS.setdefault(pair, pair)
+    object.__setattr__(phi, _MEASURES, pair)
+    return pair
+
+
 def nsc(phi: Formula) -> int:
     """Nested static complexity."""
-    if isinstance(phi, Atom):
-        return 1
-    if isinstance(phi, Bot):
-        return 3  # measures its desugared form p & ~p
-    if isinstance(phi, Top):
-        return 4
-    if isinstance(phi, Not):
-        return 1 + nsc(phi.sub)
-    if isinstance(phi, (And, Or, Implies, Iff)):
-        return 1 + max(nsc(phi.left), nsc(phi.right))
-    if isinstance(phi, (K, D)):
-        return 1 + nsc(phi.sub)
-    if isinstance(phi, (Eee, See)):
-        return 2 * nsc(phi.sub)
-    if isinstance(phi, Sse):
-        return (8 + nsc(phi.topic)) * nsc(phi.sub)
-    if isinstance(phi, Dhat):
-        return 7 + nsc(phi.sub)
-    raise TypeError(type(phi))
+    return _measures(phi)[1]
 
 
 def ndc(phi: Formula) -> int:
     """Nested dynamic complexity; 0 iff the desugared formula is static."""
-    if isinstance(phi, (Atom, Top, Bot)):
-        return 0
-    if isinstance(phi, Not):
-        return ndc(phi.sub)
-    if isinstance(phi, (And, Or, Implies, Iff)):
-        return max(ndc(phi.left), ndc(phi.right))
-    if isinstance(phi, (K, D)):
-        return ndc(phi.sub)
-    if isinstance(phi, (Eee, See)):
-        return 1 + ndc(phi.sub)
-    if isinstance(phi, Sse):
-        return 1 + ndc(phi.topic) + ndc(phi.sub)
-    if isinstance(phi, Dhat):
-        return max(ndc(phi.topic), ndc(phi.sub))
-    raise TypeError(type(phi))
+    return _measures(phi)[0]
 
 
 def complexity(phi: Formula) -> Complexity:
-    return Complexity(nsc=nsc(phi), ndc=ndc(phi))
+    d, s = _measures(phi)
+    return Complexity(nsc=s, ndc=d)
 
 
 def c_greater(phi1: Formula, phi2: Formula) -> bool:
     """Lexicographic (ndc, nsc) strict order."""
-    return (ndc(phi1), nsc(phi1)) > (ndc(phi2), nsc(phi2))
+    return _measures(phi1) > _measures(phi2)
 
 
 def ssub(phi: Formula) -> frozenset:

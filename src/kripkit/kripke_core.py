@@ -88,7 +88,10 @@ class Model:
     def with_rows(self, rows: Iterable[int]) -> "Model":
         """Same worlds/valuation, fresh relations."""
         rows = tuple(rows)
-        assert len(rows) == len(self.agents) * self.n
+        if len(rows) != len(self.agents) * self.n:
+            raise _err("row-count-mismatch",
+                       f"{len(rows)} rows for {len(self.agents)} agents "
+                       f"x {self.n} worlds")
         return Model(self.worlds, self.agents, self.atoms, rows, self.vals)
 
     # -- construction --

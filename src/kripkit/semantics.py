@@ -3,20 +3,25 @@
 Truth sets are computed as world bitmasks. Dynamic subformulas recurse on a
 transformed model; the sse topic is evaluated on the incoming model before
 the relations change.
+
+Each model visited during one evaluation has its own memo, keyed by the
+identity of the subformula object. The root formula keeps every subformula
+alive for the length of the call, so no identity is reused within it.
 """
 from __future__ import annotations
 
 from .formula import (And, Atom, Bot, D, Dhat, Eee, Formula, Iff, Implies, K,
-                      Not, Or, See, Sse, Top, agents_of, atoms_of)
+                      Not, Or, See, Sse, Top, symbols_of)
 from .kripke_core import Model, distributed_rows, group_mask
 from .transforms import eee_rows, knowing_only_rows, see_rows, sse_rows
 
 
 def check_rosters(model: Model, phi: Formula) -> None:
     """Every atom and agent the formula mentions must exist in the model."""
-    for at in sorted(atoms_of(phi)):
+    atoms, agents = symbols_of(phi)
+    for at in sorted(atoms):
         model.atom_index(at)
-    for ag in sorted(agents_of(phi)):
+    for ag in sorted(agents):
         model.agent_index(ag)
 
 
@@ -45,7 +50,8 @@ def _box(drows, submask: int) -> int:
 
 
 def _eval(model: Model, phi: Formula, memo: dict) -> int:
-    key = (model, phi)
+    """Truth mask of phi on model; memo belongs to this model alone."""
+    key = id(phi)
     got = memo.get(key)
     if got is not None:
         return got
@@ -78,14 +84,14 @@ def _eval(model: Model, phi: Formula, memo: dict) -> int:
         out = _box([d & k for d, k in zip(drows, ko)],
                    _eval(model, phi.sub, memo))
     elif isinstance(phi, Eee):
-        out = _eval(model.with_rows(eee_rows(model)), phi.sub, memo)
+        out = _eval(model.with_rows(eee_rows(model)), phi.sub, {})
     elif isinstance(phi, See):
         moved = model.with_rows(see_rows(model, group_mask(model, phi.group)))
-        out = _eval(moved, phi.sub, memo)
+        out = _eval(moved, phi.sub, {})
     elif isinstance(phi, Sse):
         chi = _eval(model, phi.topic, memo)
         moved = model.with_rows(sse_rows(model, group_mask(model, phi.group), chi))
-        out = _eval(moved, phi.sub, memo)
+        out = _eval(moved, phi.sub, {})
     else:
         raise TypeError(type(phi))
     memo[key] = out

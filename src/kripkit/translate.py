@@ -72,7 +72,9 @@ def translate_traced(phi: Formula, agents=None):
                                f"formula mentions agents outside roster: {missing}")
     steps = []
     result = _tau(desugar(phi), roster, steps)
-    assert ndc(result) == 0
+    if ndc(result) != 0:
+        raise KripkitError("measure-violation",
+                           f"translation of {phi} is not static: {result}")
     return result, TranslationTrace(tuple(steps))
 
 

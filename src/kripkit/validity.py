@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
 
-from .engine import compile_program, run_one, run_range
+from .engine import compile_program, model_bits, run_one, run_range
 from .formula import (And, Atom, D, Dhat, Eee, Formula, Iff, Implies, K, Not,
                       Or, See, Sse)
 from .kripke_core import KripkitError, Model, PointedModel
@@ -21,10 +21,6 @@ from .semantics import satisfies
 
 EXHAUSTIVE_BIT_CAP = 24
 SAMPLE_BIT_CAP = 62
-
-
-def model_bits(n: int, nag: int, nat: int) -> int:
-    return n * n * nag + n * nat
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,22 @@ def test_range_reports_first_failure_and_count(impl):
     assert run_range(prog2, 1, 1, 2, impl=eng) == (-1, -1, 1)
 
 
+def test_indices_outside_the_model_space_are_refused():
+    prog = compile_program(Not(Atom("p")), ("a",), ("p",))
+    top = 1 << model_bits(1, 1, 1)  # 4 models at one world
+    assert run_range(prog, 1, 0, top) == (1, 0, 2)
+    assert run_range(prog, 1, top, top) == (-1, -1, 0)
+    assert run_one(prog, 1, top - 1) == 0
+    for start, stop in ((-3, 1), (-1, top), (0, top + 1), (5, 9)):
+        with pytest.raises(KripkitError) as e:
+            run_range(prog, 1, start, stop)
+        assert e.value.code == "index-out-of-range"
+    for idx in (-1, top):
+        with pytest.raises(KripkitError) as e:
+            run_one(prog, 1, idx)
+        assert e.value.code == "index-out-of-range"
+
+
 def _per_model_first_failure(fails, start, stop):
     """Expected run_range result from the per-model failing worlds."""
     for idx in range(start, stop):

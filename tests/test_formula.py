@@ -1,10 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kripkit import (And, Atom, Bot, D, Dhat, Eee, Iff, Implies, K,
+from kripkit import (And, Atom, Bot, D, Dhat, Eee, Formula, Iff, Implies, K,
                      KripkitError, Not, Or, See, Sse, Top, agents_of,
                      atoms_of, c_greater, complexity, desugar, ndc, nsc,
                      parse, print_formula)
@@ -140,6 +141,89 @@ def test_c_greater_is_lexicographic():
     assert c_greater(And(p, p), p)
     assert not c_greater(p, p)
     assert not c_greater(p, Eee(p))
+
+
+def _ref_nsc(f):
+    """The measure's defining recursion, recomputed from scratch."""
+    if isinstance(f, Atom):
+        return 1
+    if isinstance(f, Bot):
+        return 3
+    if isinstance(f, Top):
+        return 4
+    if isinstance(f, (Not, K, D)):
+        return 1 + _ref_nsc(f.sub)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return 1 + max(_ref_nsc(f.left), _ref_nsc(f.right))
+    if isinstance(f, (Eee, See)):
+        return 2 * _ref_nsc(f.sub)
+    if isinstance(f, Sse):
+        return (8 + _ref_nsc(f.topic)) * _ref_nsc(f.sub)
+    return 7 + _ref_nsc(f.sub)  # Dhat
+
+
+def _ref_ndc(f):
+    if isinstance(f, (Atom, Top, Bot)):
+        return 0
+    if isinstance(f, (Not, K, D)):
+        return _ref_ndc(f.sub)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return max(_ref_ndc(f.left), _ref_ndc(f.right))
+    if isinstance(f, (Eee, See)):
+        return 1 + _ref_ndc(f.sub)
+    if isinstance(f, Sse):
+        return 1 + _ref_ndc(f.topic) + _ref_ndc(f.sub)
+    return max(_ref_ndc(f.topic), _ref_ndc(f.sub))  # Dhat
+
+
+def _subformulas(f):
+    out = [f]
+    for v in (getattr(f, k.name) for k in dataclasses.fields(f)):
+        if isinstance(v, Formula):
+            out += _subformulas(v)
+    return out
+
+
+def test_cached_measures_match_reference_recursion():
+    rng = random.Random(46)
+    g = frozenset("ab")
+    measured = []
+    for i in range(300):
+        f = gen.random_formula(rng, rng.randint(0, 5))
+        if rng.random() < 0.3:
+            f = rng.choice((And(f, Top()), Sse(g, Bot(), f), Dhat(g, f, Bot())))
+        subs = _subformulas(f)
+        if i % 2:  # measure some subtrees before the root
+            for sub in rng.sample(subs, rng.randint(1, len(subs))):
+                nsc(sub)
+        if measured and rng.random() < 0.5:
+            # a new root over an already measured formula
+            f = Sse(g, rng.choice(measured), f)
+            subs = _subformulas(f)
+        for sub in [f] + subs:
+            want = (_ref_ndc(sub), _ref_nsc(sub))
+            assert (ndc(sub), nsc(sub)) == want, sub
+            c = complexity(sub)
+            assert (c.ndc, c.nsc) == want
+        other = rng.choice(subs)
+        assert c_greater(f, other) == \
+            ((_ref_ndc(f), _ref_nsc(f)) > (_ref_ndc(other), _ref_nsc(other)))
+        measured.append(f)
+
+
+def test_measure_cache_leaves_construction_and_equality_alone():
+    f = parse("[sse a | p & q] D{a,b} (p -> [see a] K_b q)")
+    fresh = parse(print_formula(f))
+    nsc(f)
+    assert f == fresh and hash(f) == hash(fresh)
+    assert type(Formula) is type and "__slots__" not in vars(Formula)
+    assert all(cls.__new__ is object.__new__
+               for cls in (Formula, Atom, Not, And, D, Eee, See, Sse))
+    # one cached attribute per node, next to the dataclass fields
+    names = [k.name for k in dataclasses.fields(f)]
+    assert list(vars(f))[:len(names)] == names
+    assert len(vars(f)) == len(names) + 1
+    assert len(vars(fresh)) == len(names)
 
 
 def test_desugar_static_core():

@@ -21,6 +21,23 @@ def test_random_agreement_with_oracle():
         assert got == want, (m, f)
 
 
+def test_shared_subformula_objects_under_different_updates():
+    # one subformula object evaluated on several transformed models; its
+    # truth on one model must not be reused on another
+    rng = random.Random(22)
+    S, T = frozenset("a"), frozenset("bc")
+    for _ in range(150):
+        m = gen.random_model(rng)
+        M = O.to_dict(m)
+        x = gen.random_formula(rng, rng.randint(1, 3))
+        y = gen.random_formula(rng, rng.randint(0, 2))
+        for f in (And(Eee(x), x), Sse(S, x, x), And(See(S, x), See(T, x)),
+                  And(Sse(S, y, x), Sse(S, Not(y), x)),
+                  Sse(T, x, And(x, Eee(x))), Eee(And(x, See(S, x))),
+                  Dhat(T, x, And(x, Sse(S, x, x)))):
+            assert truth_set(m, f) == O.truth_set(M, f), (m, f)
+
+
 def test_truth_set_names_and_mask_bits():
     m = Model.build(("w0", "w1"), ("a",), ("p",),
                     {"a": {("w0", "w1"), ("w1", "w1")}}, {"p": {"w1"}})

@@ -1,4 +1,9 @@
+import hashlib
+import importlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -99,7 +104,6 @@ def test_unknown_agent_when_roster_too_small():
 
 
 def test_measure_guard_is_live(monkeypatch):
-    import importlib
     # the package re-exports translate() under the module's own name
     TR = importlib.import_module("kripkit.translate")
     f = parse("[sse a | p] D{b} q")
@@ -116,3 +120,69 @@ def test_translated_formula_round_trips_through_text():
         f = gen.random_formula(rng, 3)
         out = translate(f, agents=("a", "b", "c"))
         assert parse(print_formula(out)) == out
+
+
+README_EXAMPLE = ("[sse a | p] [sse b | q] [sse a,b | p & q] "
+                  "D{a,b} (p -> [see a] K_b q)")
+
+
+def test_measure_check_runs_once_per_call(monkeypatch):
+    TR = importlib.import_module("kripkit.translate")
+    real, seen = TR.c_greater, []
+
+    def counting(a, b):
+        seen.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(TR, "c_greater", counting)
+    rng = random.Random(47)
+    texts = [README_EXAMPLE] + [print_formula(gen.random_formula(rng, 4))
+                                for _ in range(60)]
+    for text in texts:
+        seen.clear()
+        _, trace = translate_traced(parse(text), agents=("a", "b", "c"))
+        assert len(seen) == sum(len(s.calls) for s in trace)
+
+
+def test_readme_example_trace_is_pinned():
+    _, trace = translate_traced(parse(README_EXAMPLE), agents=("a", "b"))
+    clauses = "\n".join(s.clause for s in trace)
+    assert len(trace) == 9343
+    assert hashlib.sha256(clauses.encode()).hexdigest() == \
+        "0a75215b564d37e4d14bb703234096676e76d0d14844929f295d8af79f0512dd"
+
+
+# Each snippet breaks one invariant; under -O it must still raise its code.
+_UNDER_O = {
+    # a rewrite clause that leaves an update behind
+    "measure-violation": """
+import importlib
+from kripkit import Atom, Eee
+TR = importlib.import_module("kripkit.translate")
+TR._step = lambda f, roster, call: (Eee(Atom("p")), "atom")
+TR.translate(Atom("p"))
+""",
+    "row-count-mismatch": """
+from kripkit import Model
+m = Model.build(("w0",), ("a",), ("p",), {"a": set()}, {"p": set()})
+m.with_rows((0, 0))
+""",
+}
+
+_RUNNER = """
+import sys
+from kripkit import KripkitError
+assert False, "asserts are live"
+try:
+    exec(sys.argv[1])
+except KripkitError as e:
+    print(e.code)
+"""
+
+
+@pytest.mark.parametrize("code", sorted(_UNDER_O))
+def test_invariant_checks_run_under_optimize(code):
+    out = subprocess.run([sys.executable, "-O", "-c", _RUNNER, _UNDER_O[code]],
+                         capture_output=True, text=True, env=dict(os.environ))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == code
