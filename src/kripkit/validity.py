@@ -1,10 +1,11 @@
 """Bounded validity: exhaustive or sampled countermodel search.
 
 Models of a fixed shape (n worlds, the given agent and atom rosters) are
-identified with bit indices; see _engine_py for the layout. Exhaustive mode
-walks sizes 1..max_worlds in index order, so the first countermodel found is
-minimal in (size, index, world). Every countermodel reported by the engine is
-re-checked against the reference semantics before it is returned.
+identified with bit indices; engine documents the layout and holds its codec.
+Exhaustive mode walks sizes 1..max_worlds in index order, so the first
+countermodel found is minimal in (size, index, world). Every countermodel
+reported by the engine is re-checked against the reference semantics before
+it is returned, and one it rejects raises countermodel-rejected.
 """
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
 
-from .engine import compile_program, model_bits, run_one, run_range
+from .engine import (compile_program, decode_index, model_bits, model_index,
+                     run_one, run_range)
 from .formula import (And, Atom, D, Dhat, Eee, Formula, Iff, Implies, K, Not,
                       Or, See, Sse)
 from .kripke_core import KripkitError, Model, PointedModel
@@ -36,6 +38,8 @@ class SearchBounds:
         object.__setattr__(self, "atoms", tuple(self.atoms))
         if self.max_worlds < 1:
             raise KripkitError("bounds-too-large", "max_worlds must be >= 1")
+        if self.sample is not None and self.sample < 1:
+            raise KripkitError("bounds-too-large", "sample must be >= 1")
         if not self.agents:
             raise KripkitError("empty-group", "agent roster is empty")
 
@@ -49,46 +53,12 @@ class Verdict:
 
 
 def decode_model(idx: int, n: int, agents, atoms) -> Model:
+    """The model at index idx over worlds w0..w{n-1}; model_index inverts it."""
     agents = tuple(agents)
     atoms = tuple(atoms)
-    nag, nat = len(agents), len(atoms)
-    B = model_bits(n, nag, nat)
-    rows = []
-    for k in range(nag):
-        for u in range(n):
-            row = 0
-            for v in range(n):
-                row |= ((idx >> (B - 1 - (k * n * n + u * n + v))) & 1) << v
-            rows.append(row)
-    vals = []
-    off = n * n * nag
-    for t in range(nat):
-        val = 0
-        for u in range(n):
-            val |= ((idx >> (B - 1 - (off + t * n + u))) & 1) << u
-        vals.append(val)
+    rows, vals = decode_index(idx, n, len(agents), len(atoms))
     worlds = tuple(f"w{i}" for i in range(n))
-    return Model(worlds, agents, atoms, tuple(rows), tuple(vals))
-
-
-def model_index(model: Model) -> int:
-    """Inverse of decode_model for models over w0..w{n-1}."""
-    n, nag, nat = model.n, len(model.agents), len(model.atoms)
-    B = model_bits(n, nag, nat)
-    idx = 0
-    for k in range(nag):
-        for u in range(n):
-            row = model.row(k, u)
-            for v in range(n):
-                if (row >> v) & 1:
-                    idx |= 1 << (B - 1 - (k * n * n + u * n + v))
-    off = n * n * nag
-    for t in range(nat):
-        val = model.vals[t]
-        for u in range(n):
-            if (val >> u) & 1:
-                idx |= 1 << (B - 1 - (off + t * n + u))
-    return idx
+    return Model(worlds, agents, atoms, rows, vals)
 
 
 def enumerate_models(n: int, agents, atoms):
@@ -100,7 +70,8 @@ def enumerate_models(n: int, agents, atoms):
 
 def _reverified(phi: Formula, model: Model, w: int) -> PointedModel:
     if satisfies(model, w, phi):
-        raise AssertionError(
+        raise KripkitError(
+            "countermodel-rejected",
             "engine countermodel rejected by the reference semantics")
     return PointedModel(model, w)
 

@@ -125,6 +125,14 @@ def test_validity_sampled_deterministic():
     assert run(*args).output == run(*args).output
 
 
+@pytest.mark.parametrize("sample", ["0", "-3"])
+def test_validity_sample_below_one_is_usage_error(sample):
+    res = run("validity", "--formula", "p", "--max-worlds", "1",
+              "--agents", "a", "--atoms", "p", "--sample", sample)
+    assert res.exit_code == 2
+    assert "bounds-too-large" in res.output
+
+
 def test_demo_paper():
     res = run("demo", "paper")
     assert res.exit_code == 0

@@ -1,40 +1,18 @@
-import importlib
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
 from kripkit import (And, Atom, D, Eee, Iff, K, KripkitError, Not, Or, See,
                      Sse, satisfies)
+from kripkit import engine
 from kripkit.engine import (K_ATOM, K_D, K_EEE, K_SEE, K_SSE, Program,
                             backend_name, compile_program, run_one, run_range)
 from kripkit.validity import decode_model, model_bits
 
 import gen
 
-PY = importlib.import_module("kripkit._engine_py")
-try:
-    CC = importlib.import_module("kripkit._engine_c")
-except ImportError:
-    CC = None
-
-# The compiled cases run only where the extension imports; the pure cases
-# always run. A C case must never fall back to impl=None, which would
-# compare the loaded (pure) backend with itself.
-IMPLS = [
-    pytest.param("pure"),
-    pytest.param("c", marks=pytest.mark.skipif(
-        CC is None, reason="kripkit._engine_c is not built")),
-]
-
 AGENTS = ("a", "b")
 ATOMS = ("p", "q")
-
-
-def _engine(impl):
-    return PY if impl == "pure" else CC
 
 
 def test_compile_dedups_shared_subterms():
@@ -43,6 +21,10 @@ def test_compile_dedups_shared_subterms():
     prog = compile_program(f, AGENTS, ATOMS)
     # K_a p desugars to a D node appearing twice but compiled once
     assert prog.n_nodes == 4
+
+
+def test_backend_name_names_the_one_kernel():
+    assert backend_name() == "pure"
 
 
 def test_compile_roster_errors():
@@ -54,9 +36,7 @@ def test_compile_roster_errors():
     assert e.value.code == "unknown-agent"
 
 
-@pytest.mark.parametrize("impl", IMPLS)
-def test_engine_matches_semantics(impl):
-    eng = _engine(impl)
+def test_engine_matches_semantics():
     rng = random.Random(61)
     for _ in range(60):
         phi = gen.random_formula(rng, rng.randint(1, 3), atoms=ATOMS,
@@ -66,35 +46,19 @@ def test_engine_matches_semantics(impl):
         for _ in range(15):
             idx = rng.randrange(1 << model_bits(n, 2, 2))
             model = decode_model(idx, n, AGENTS, ATOMS)
-            got = run_one(prog, n, idx, impl=eng)
-            sem = [satisfies(model, w, phi) for w in range(n)]
-            want = next((w for w in range(n) if not sem[w]), -1)
-            assert got == want, (phi, n, idx)
+            assert run_one(prog, n, idx) == _first_failing_world(
+                model, phi), (phi, n, idx)
 
 
-def test_backends_agree_on_full_scan():
-    cc = pytest.importorskip("kripkit._engine_c")
-    rng = random.Random(62)
-    for _ in range(10):
-        phi = gen.random_formula(rng, rng.randint(1, 3), atoms=ATOMS,
-                                 agents=AGENTS)
-        prog = compile_program(phi, AGENTS, ATOMS)
-        top = 1 << model_bits(2, 2, 2)
-        assert run_range(prog, 2, 0, top, impl=PY) == \
-            run_range(prog, 2, 0, top, impl=cc)
-
-
-@pytest.mark.parametrize("impl", IMPLS)
-def test_range_reports_first_failure_and_count(impl):
-    eng = _engine(impl)
+def test_range_reports_first_failure_and_count():
     phi = Not(Atom("p"))  # fails exactly where p holds
     prog = compile_program(phi, ("a",), ("p",))
     # n=1: idx 1 (no edge, p true) is the first failing model, world 0
-    assert run_range(prog, 1, 0, 4, impl=eng) == (1, 0, 2)
+    assert run_range(prog, 1, 0, 4) == (1, 0, 2)
     # a clean slice reports checked = slice length
     phi2 = Atom("p")
     prog2 = compile_program(phi2, ("a",), ("p",))
-    assert run_range(prog2, 1, 1, 2, impl=eng) == (-1, -1, 1)
+    assert run_range(prog2, 1, 1, 2) == (-1, -1, 1)
 
 
 def test_indices_outside_the_model_space_are_refused():
@@ -113,19 +77,34 @@ def test_indices_outside_the_model_space_are_refused():
         assert e.value.code == "index-out-of-range"
 
 
-def _per_model_first_failure(fails, start, stop):
-    """Expected run_range result from the per-model failing worlds."""
-    for idx in range(start, stop):
-        if fails[idx] >= 0:
-            return idx, fails[idx], idx - start + 1
-    return -1, -1, stop - start
+def _first_failing_world(model, phi):
+    """Smallest world of model where phi fails, by the reference semantics."""
+    return next((w for w in range(model.n) if not satisfies(model, w, phi)),
+                -1)
 
 
-@pytest.mark.parametrize("lane_bits", [0, 1, 3, PY.LANE_BITS])
+def _reference_scan(phi, n, agents, atoms):
+    """run_range as the reference semantics sees it: the first model of a
+    range with a failing world, each model decoded and evaluated once."""
+    fails = {}
+
+    def first_failure(start, stop):
+        for idx in range(start, stop):
+            if idx not in fails:
+                fails[idx] = _first_failing_world(
+                    decode_model(idx, n, agents, atoms), phi)
+            if fails[idx] >= 0:
+                return idx, fails[idx], idx - start + 1
+        return -1, -1, stop - start
+
+    return first_failure
+
+
+@pytest.mark.parametrize("lane_bits", [0, 1, 3, engine.LANE_BITS])
 def test_pure_range_matches_per_model_scan(lane_bits, monkeypatch):
-    # run_one is itself checked against satisfies above; here the blocked
-    # run_range must report the same first failure on every range
-    monkeypatch.setattr(PY, "LANE_BITS", lane_bits)
+    # the blocked run_range must report the first failure that the
+    # reference semantics finds model by model, on every range
+    monkeypatch.setattr(engine, "LANE_BITS", lane_bits)
     rng = random.Random(63 + lane_bits)
     seen, kinds = set(), set()
     for trial in range(16):
@@ -148,15 +127,14 @@ def test_pure_range_matches_per_model_scan(lane_bits, monkeypatch):
         kinds.update(prog.kinds)
         for n in (1, 2):
             top = 1 << model_bits(n, len(agents), len(atoms))
-            fails = [run_one(prog, n, i, impl=PY) for i in range(top)]
+            want = _reference_scan(phi, n, agents, atoms)
             ranges = [(0, top), (0, 0), (top - 1, top)]
             for _ in range(6):
                 a = rng.randrange(top)
                 ranges.append((a, rng.randint(a, top)))
             for a, b in ranges:
-                got = run_range(prog, n, a, b, impl=PY)
-                assert got == _per_model_first_failure(fails, a, b), \
-                    (phi, n, a, b)
+                got = run_range(prog, n, a, b)
+                assert got == want(a, b), (phi, n, a, b)
                 seen.add(got[0] >= 0)
     assert seen == {True, False}
     assert {K_EEE, K_SEE, K_SSE} <= kinds
@@ -166,7 +144,7 @@ def test_pure_range_with_more_valuation_bits_than_lanes():
     # 1 world, 1 agent, 13 atoms: 13 valuation bits, so a block of
     # 2**LANE_BITS lanes holds fixed values for the top atoms
     atoms = tuple(f"p{i}" for i in range(13))
-    assert len(atoms) > PY.LANE_BITS
+    assert len(atoms) > engine.LANE_BITS
     conj = Atom(atoms[0])
     for t in atoms[1:]:
         conj = And(conj, Atom(t))
@@ -179,26 +157,19 @@ def test_pure_range_with_more_valuation_bits_than_lanes():
     ]
     for phi in cases:
         prog = compile_program(phi, ("a",), atoms)
-        fails = [run_one(prog, 1, i, impl=PY) for i in range(top)]
+        want = _reference_scan(phi, 1, ("a",), atoms)
         for a, b in [(0, top), (5000, top), (4095, 8193), (1, 4096)]:
-            got = run_range(prog, 1, a, b, impl=PY)
-            assert got == _per_model_first_failure(fails, a, b), (phi, a, b)
-            if got[0] >= 0:
-                model = decode_model(got[0], 1, ("a",), atoms)
-                assert not satisfies(model, got[1], phi)
+            assert run_range(prog, 1, a, b) == want(a, b), (phi, a, b)
     prog = compile_program(Not(conj), ("a",), atoms)
-    assert run_range(prog, 1, 0, top, impl=PY) == (8191, 0, 8192)
+    assert run_range(prog, 1, 0, top) == (8191, 0, 8192)
 
 
-@pytest.mark.parametrize("impl", IMPLS)
 @pytest.mark.parametrize("scan", ["one", "range"])
-def test_hand_built_bad_programs_error(impl, scan):
-    eng = _engine(impl)
-
+def test_hand_built_bad_programs_error(scan):
     def run(prog):
         if scan == "one":
-            return run_one(prog, 1, 0, impl=eng)
-        return run_range(prog, 1, 0, 4, impl=eng)
+            return run_one(prog, 1, 0)
+        return run_range(prog, 1, 0, 4)
 
     # empty group mask on a D node
     bad = Program(kinds=(K_ATOM, K_D), a1=(0, 0), a2=(0, 0), a3=(0, 0),
@@ -212,22 +183,3 @@ def test_hand_built_bad_programs_error(impl, scan):
     with pytest.raises(KripkitError) as e:
         run(bad2)
     assert e.value.code == "unknown-schema"
-
-
-def test_compiled_rejects_oversized_models():
-    cc = pytest.importorskip("kripkit._engine_c")
-    phi = compile_program(Atom("p"), ("a",), ("p",))
-    with pytest.raises(KripkitError) as e:
-        cc.check_one(phi.kinds, phi.a1, phi.a2, phi.a3, phi.root,
-                     9, 1, 1, 0)
-    assert e.value.code == "bounds-too-large"
-
-
-def test_pure_override_env(tmp_path):
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from kripkit.engine import backend_name; print(backend_name())"],
-        capture_output=True, text=True,
-        env={**os.environ, "KRIPKIT_PURE": "1"})
-    assert out.stdout.strip() == "pure"
-    assert backend_name() in ("pure", "c")

@@ -6,6 +6,7 @@ from kripkit import (And, Atom, D, Iff, Implies, K, KripkitError, Not, Or,
                      SCHEMAS, SearchBounds, axiom_instances, check_equivalence,
                      check_validity, decode_model, enumerate_models,
                      formula_pool, model_index, satisfies)
+from kripkit import validity
 from kripkit.formula import Eee, See, Sse, ndc
 from kripkit.validity import model_bits
 
@@ -35,6 +36,33 @@ def test_enumeration_counts_and_order():
         assert m == decode_model(i, 2, ("a",), ("p",))
 
 
+def test_codec_matches_documented_layout():
+    # 2 worlds / 2 agents / 2 atoms: 12 bits, most significant first,
+    # relation (k, u, v) at k*n*n + u*n + v, valuation (t, u) at
+    # n*n*nag + t*n + u
+    n, agents, atoms = 2, ("a", "b"), ("p", "q")
+    B = model_bits(n, 2, 2)
+    assert B == 12
+    for j in range(B):
+        pos = B - 1 - j
+        m = decode_model(1 << j, n, agents, atoms)
+        rel = {a: m.relation(a) for a in agents}
+        val = {t: m.valuation[t] for t in atoms}
+        if pos < n * n * len(agents):
+            k, rest = divmod(pos, n * n)
+            u, v = divmod(rest, n)
+            want_rel = {a: frozenset({(u, v)}) if i == k else frozenset()
+                        for i, a in enumerate(agents)}
+            want_val = {t: frozenset() for t in atoms}
+        else:
+            t, u = divmod(pos - n * n * len(agents), n)
+            want_rel = {a: frozenset() for a in agents}
+            want_val = {x: frozenset({f"w{u}"}) if i == t else frozenset()
+                        for i, x in enumerate(atoms)}
+        assert (rel, val) == (want_rel, want_val), j
+        assert model_index(m) == 1 << j
+
+
 def test_decode_index_round_trip_random():
     rng = random.Random(51)
     for _ in range(200):
@@ -52,6 +80,11 @@ def test_bounds_validation():
     with pytest.raises(KripkitError) as e:
         SearchBounds(2, (), ("p",))
     assert e.value.code == "empty-group"
+    # a sample needs at least one draw
+    for sample in (0, -3):
+        with pytest.raises(KripkitError) as e:
+            SearchBounds(1, ("a",), ("p",), sample=sample)
+        assert e.value.code == "bounds-too-large"
     # 3 worlds / 3 agents / 3 atoms = 36 bits > exhaustive cap
     with pytest.raises(KripkitError) as e:
         check_validity(Atom("p"), SearchBounds(3, ("a", "b", "c"),
@@ -62,6 +95,19 @@ def test_bounds_validation():
         check_validity(Atom("p"), SearchBounds(7, ("a", "b", "c"),
                                                ("p", "q"), sample=10))
     assert e.value.code == "bounds-too-large"
+
+
+@pytest.mark.parametrize("sample", [None, 50])
+def test_rejected_countermodel_has_a_stable_code(sample, monkeypatch):
+    # a kernel that reports a model where the formula holds is caught by
+    # the re-verification, in both search modes
+    phi = Implies(Atom("p"), Atom("p"))
+    monkeypatch.setattr(validity, "run_range",
+                        lambda prog, n, start, stop: (0, 0, 1))
+    monkeypatch.setattr(validity, "run_one", lambda prog, n, idx: 0)
+    with pytest.raises(KripkitError) as e:
+        check_validity(phi, SearchBounds(2, ("a",), ("p",), sample=sample))
+    assert e.value.code == "countermodel-rejected"
 
 
 def test_valid_formula_reports_checked_count():
