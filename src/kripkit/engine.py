@@ -54,9 +54,20 @@ class Program:
         return len(self.kinds)
 
 
+def check_distinct(kind: str, names) -> None:
+    """A roster names each agent or atom once; the kernel and the reference
+    semantics would otherwise read different positions for a name."""
+    if len(set(names)) < len(names):
+        dups = sorted({x for x in names if names.count(x) > 1})
+        raise KripkitError("duplicate-roster-entry",
+                           f"{kind} listed more than once: {', '.join(dups)}")
+
+
 def compile_program(phi: Formula, agents, atoms) -> Program:
     agents = tuple(agents)
     atoms = tuple(atoms)
+    check_distinct("agent", agents)
+    check_distinct("atom", atoms)
     apos = {a: i for i, a in enumerate(agents)}
     tpos = {t: i for i, t in enumerate(atoms)}
     kinds, a1, a2, a3 = [], [], [], []
@@ -82,24 +93,34 @@ def compile_program(phi: Formula, agents, atoms) -> Program:
             m |= 1 << apos[ag]
         return m
 
+    # id of a core node -> its program node; the desugared root keeps every
+    # core node alive for the call
+    done = {}
+
     def go(f):
         if isinstance(f, Atom):
             if f.name not in tpos:
                 raise KripkitError("unknown-atom", f.name)
             return emit(K_ATOM, tpos[f.name])
+        got = done.get(id(f))
+        if got is not None:
+            return got
         if isinstance(f, Not):
-            return emit(K_NOT, go(f.sub))
-        if isinstance(f, And):
-            return emit(K_AND, go(f.left), go(f.right))
-        if isinstance(f, D):
-            return emit(K_D, gmask(f.group), go(f.sub))
-        if isinstance(f, Eee):
-            return emit(K_EEE, go(f.sub))
-        if isinstance(f, See):
-            return emit(K_SEE, gmask(f.group), go(f.sub))
-        if isinstance(f, Sse):
-            return emit(K_SSE, gmask(f.group), go(f.topic), go(f.sub))
-        raise TypeError(type(f))
+            out = emit(K_NOT, go(f.sub))
+        elif isinstance(f, And):
+            out = emit(K_AND, go(f.left), go(f.right))
+        elif isinstance(f, D):
+            out = emit(K_D, gmask(f.group), go(f.sub))
+        elif isinstance(f, Eee):
+            out = emit(K_EEE, go(f.sub))
+        elif isinstance(f, See):
+            out = emit(K_SEE, gmask(f.group), go(f.sub))
+        elif isinstance(f, Sse):
+            out = emit(K_SSE, gmask(f.group), go(f.topic), go(f.sub))
+        else:
+            raise TypeError(type(f))
+        done[id(f)] = out
+        return out
 
     root = go(desugar(phi))
     return Program(tuple(kinds), tuple(a1), tuple(a2), tuple(a3),

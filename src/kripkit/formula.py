@@ -133,17 +133,23 @@ _WITNESS = Atom("p")
 
 
 def symbols_of(phi: Formula) -> tuple:
-    """(atom names, agent names) mentioned, in one walk over the formula.
+    """(atom names, agent names) mentioned, in one walk over the formula
+    that visits each node object once.
 
     Atoms are collected before desugaring, so the Bot witness is not counted.
     """
     atoms, agents = set(), set()
+    seen = set()
     todo = [phi]
     while todo:
         f = todo.pop()
         if isinstance(f, Atom):
             atoms.add(f.name)
-        elif isinstance(f, Not):
+            continue
+        if id(f) in seen:
+            continue
+        seen.add(id(f))
+        if isinstance(f, Not):
             todo.append(f.sub)
         elif isinstance(f, (And, Or, Implies, Iff)):
             todo += (f.left, f.right)
@@ -170,40 +176,68 @@ def agents_of(phi: Formula) -> frozenset:
     return symbols_of(phi)[1]
 
 
+def imp_core(a: Formula, b: Formula) -> Formula:
+    """Core form of a -> b."""
+    return Not(And(a, Not(b)))
+
+
+def dhat_core(group, chi: Formula, psi: Formula) -> Formula:
+    """Core expansion of the conditional distributed-knowledge operator."""
+    return And(imp_core(chi, D(group, imp_core(chi, psi))),
+               imp_core(Not(chi), D(group, imp_core(Not(chi), psi))))
+
+
 def desugar(phi: Formula) -> Formula:
-    """Rewrite to the core constructors {Atom, Not, And, D, Eee, See, Sse}."""
+    """Rewrite to the core constructors {Atom, Not, And, D, Eee, See, Sse}.
+
+    Each node object is rewritten once per call, so a shared input gives a
+    shared output.
+    """
+    return _desugar(phi, {})
+
+
+def _desugar(phi: Formula, memo: dict) -> Formula:
+    # memo: id of an input node -> its core form; the root keeps every
+    # input node alive for the call
     if isinstance(phi, Atom):
         return phi
+    got = memo.get(id(phi))
+    if got is not None:
+        return got
     if isinstance(phi, Bot):
-        return And(_WITNESS, Not(_WITNESS))
-    if isinstance(phi, Top):
-        return Not(And(_WITNESS, Not(_WITNESS)))
-    if isinstance(phi, Not):
-        return Not(desugar(phi.sub))
-    if isinstance(phi, And):
-        return And(desugar(phi.left), desugar(phi.right))
-    if isinstance(phi, Or):
-        return Not(And(Not(desugar(phi.left)), Not(desugar(phi.right))))
-    if isinstance(phi, Implies):
-        return Not(And(desugar(phi.left), Not(desugar(phi.right))))
-    if isinstance(phi, Iff):
-        a, b = desugar(phi.left), desugar(phi.right)
-        return And(Not(And(a, Not(b))), Not(And(b, Not(a))))
-    if isinstance(phi, K):
-        return D(frozenset([phi.agent]), desugar(phi.sub))
-    if isinstance(phi, D):
-        return D(phi.group, desugar(phi.sub))
-    if isinstance(phi, Eee):
-        return Eee(desugar(phi.sub))
-    if isinstance(phi, See):
-        return See(phi.group, desugar(phi.sub))
-    if isinstance(phi, Sse):
-        return Sse(phi.group, desugar(phi.topic), desugar(phi.sub))
-    if isinstance(phi, Dhat):
-        chi, sub = desugar(phi.topic), desugar(phi.sub)
-        return desugar(And(Implies(chi, D(phi.group, Implies(chi, sub))),
-                           Implies(Not(chi), D(phi.group, Implies(Not(chi), sub)))))
-    raise TypeError(type(phi))
+        out = And(_WITNESS, Not(_WITNESS))
+    elif isinstance(phi, Top):
+        out = Not(And(_WITNESS, Not(_WITNESS)))
+    elif isinstance(phi, Not):
+        out = Not(_desugar(phi.sub, memo))
+    elif isinstance(phi, And):
+        out = And(_desugar(phi.left, memo), _desugar(phi.right, memo))
+    elif isinstance(phi, Or):
+        out = Not(And(Not(_desugar(phi.left, memo)),
+                      Not(_desugar(phi.right, memo))))
+    elif isinstance(phi, Implies):
+        out = imp_core(_desugar(phi.left, memo), _desugar(phi.right, memo))
+    elif isinstance(phi, Iff):
+        a, b = _desugar(phi.left, memo), _desugar(phi.right, memo)
+        out = And(imp_core(a, b), imp_core(b, a))
+    elif isinstance(phi, K):
+        out = D(frozenset([phi.agent]), _desugar(phi.sub, memo))
+    elif isinstance(phi, D):
+        out = D(phi.group, _desugar(phi.sub, memo))
+    elif isinstance(phi, Eee):
+        out = Eee(_desugar(phi.sub, memo))
+    elif isinstance(phi, See):
+        out = See(phi.group, _desugar(phi.sub, memo))
+    elif isinstance(phi, Sse):
+        out = Sse(phi.group, _desugar(phi.topic, memo),
+                  _desugar(phi.sub, memo))
+    elif isinstance(phi, Dhat):
+        out = dhat_core(phi.group, _desugar(phi.topic, memo),
+                        _desugar(phi.sub, memo))
+    else:
+        raise TypeError(type(phi))
+    memo[id(phi)] = out
+    return out
 
 
 # The (ndc, nsc) pair of a node is computed once, from its children's
@@ -271,22 +305,6 @@ def complexity(phi: Formula) -> Complexity:
 def c_greater(phi1: Formula, phi2: Formula) -> bool:
     """Lexicographic (ndc, nsc) strict order."""
     return _measures(phi1) > _measures(phi2)
-
-
-def ssub(phi: Formula) -> frozenset:
-    """Strict subformulas, per the termination lemma's clauses."""
-    if isinstance(phi, (Atom, Top, Bot)):
-        return frozenset()
-    if isinstance(phi, Not):
-        return frozenset([phi.sub]) | ssub(phi.sub)
-    if isinstance(phi, (And, Or, Implies, Iff)):
-        return frozenset([phi.left, phi.right]) | ssub(phi.left) | ssub(phi.right)
-    if isinstance(phi, (K, D, Eee, See)):
-        return frozenset([phi.sub]) | ssub(phi.sub)
-    if isinstance(phi, (Sse, Dhat)):
-        return (frozenset([phi.topic, phi.sub])
-                | ssub(phi.topic) | ssub(phi.sub))
-    raise TypeError(type(phi))
 
 
 # -- concrete syntax --
@@ -468,17 +486,10 @@ def parse(text: str) -> Formula:
 
 _PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4, 5
 
-
-def _prec(phi: Formula) -> int:
-    if isinstance(phi, Iff):
-        return _PREC_IFF
-    if isinstance(phi, Implies):
-        return _PREC_IMP
-    if isinstance(phi, Or):
-        return _PREC_OR
-    if isinstance(phi, And):
-        return _PREC_AND
-    return _PREC_UNARY
+# infix connectives: type -> (symbol, precedence, right-associative)
+_INFIX = {Iff: (" <-> ", _PREC_IFF, True), Implies: (" -> ", _PREC_IMP, True),
+          Or: (" | ", _PREC_OR, False), And: (" & ", _PREC_AND, False)}
+_PREC = {t: prec for t, (_, prec, _) in _INFIX.items()}
 
 
 def _group_str(g) -> str:
@@ -486,52 +497,62 @@ def _group_str(g) -> str:
 
 
 def print_formula(phi: Formula) -> str:
-    """Canonical string; parse(print_formula(x)) == x."""
+    """Canonical string; parse(print_formula(x)) == x.
 
-    def wrap(sub, minimum):
-        s = print_formula(sub)
-        return f"({s})" if _prec(sub) < minimum else s
+    Each node object is printed once per call, so a shared formula prints in
+    time linear in its distinct nodes plus the length of the string.
+    """
+    return _print(phi, {})
 
-    if isinstance(phi, Atom):
+
+def _print(phi: Formula, memo: dict) -> str:
+    # memo: id of a node -> its string; the root keeps every node alive
+    t = type(phi)
+    if t is Atom:
         return phi.name
-    if isinstance(phi, Top):
-        return "true"
-    if isinstance(phi, Bot):
-        return "false"
-    if isinstance(phi, Not):
-        return "~" + wrap(phi.sub, _PREC_UNARY)
-    if isinstance(phi, And):
-        # left-assoc: right child keeps parens at equal precedence
-        r = print_formula(phi.right)
-        if _prec(phi.right) <= _PREC_AND:
-            r = f"({r})"
-        return f"{wrap(phi.left, _PREC_AND)} & {r}"
-    if isinstance(phi, Or):
-        r = print_formula(phi.right)
-        if _prec(phi.right) <= _PREC_OR:
-            r = f"({r})"
-        return f"{wrap(phi.left, _PREC_OR)} | {r}"
-    if isinstance(phi, Implies):
-        # right-assoc: left child needs parens at equal precedence
-        l = print_formula(phi.left)
-        l = f"({l})" if _prec(phi.left) <= _PREC_IMP else l
-        return f"{l} -> {wrap(phi.right, _PREC_IMP)}"
-    if isinstance(phi, Iff):
-        l = print_formula(phi.left)
-        l = f"({l})" if _prec(phi.left) <= _PREC_IFF else l
-        return f"{l} <-> {wrap(phi.right, _PREC_IFF)}"
-    if isinstance(phi, K):
-        return f"K_{phi.agent} " + wrap(phi.sub, _PREC_UNARY)
-    if isinstance(phi, D):
-        return f"D{{{_group_str(phi.group)}}} " + wrap(phi.sub, _PREC_UNARY)
-    if isinstance(phi, Dhat):
-        return (f"Dhat{{{_group_str(phi.group)} | {print_formula(phi.topic)}}} "
-                + wrap(phi.sub, _PREC_UNARY))
-    if isinstance(phi, Eee):
-        return "[eee] " + wrap(phi.sub, _PREC_UNARY)
-    if isinstance(phi, See):
-        return f"[see {_group_str(phi.group)}] " + wrap(phi.sub, _PREC_UNARY)
-    if isinstance(phi, Sse):
-        return (f"[sse {_group_str(phi.group)} | {print_formula(phi.topic)}] "
-                + wrap(phi.sub, _PREC_UNARY))
-    raise TypeError(type(phi))
+    got = memo.get(id(phi))
+    if got is not None:
+        return got
+    if t in _INFIX:
+        symbol, prec, right_assoc = _INFIX[t]
+        left, right = phi.left, phi.right
+        ls, rs = _print(left, memo), _print(right, memo)
+        # the side the connective associates to keeps parens only below its
+        # precedence, the other side also at equal precedence
+        lp = _PREC.get(type(left), _PREC_UNARY)
+        rp = _PREC.get(type(right), _PREC_UNARY)
+        if lp < prec or (lp == prec and right_assoc):
+            ls = f"({ls})"
+        if rp < prec or (rp == prec and not right_assoc):
+            rs = f"({rs})"
+        out = ls + symbol + rs
+    elif t is Top:
+        out = "true"
+    elif t is Bot:
+        out = "false"
+    else:
+        if t is Not:
+            head = "~"
+        elif t is K:
+            head = f"K_{phi.agent} "
+        elif t is D:
+            head = f"D{{{_group_str(phi.group)}}} "
+        elif t is Eee:
+            head = "[eee] "
+        elif t is See:
+            head = f"[see {_group_str(phi.group)}] "
+        elif t is Sse:
+            head = (f"[sse {_group_str(phi.group)} | "
+                    f"{_print(phi.topic, memo)}] ")
+        elif t is Dhat:
+            head = (f"Dhat{{{_group_str(phi.group)} | "
+                    f"{_print(phi.topic, memo)}}} ")
+        else:
+            raise TypeError(t)
+        sub = phi.sub
+        out = _print(sub, memo)
+        if type(sub) in _PREC:
+            out = f"({out})"
+        out = head + out
+    memo[id(phi)] = out
+    return out

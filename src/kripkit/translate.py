@@ -4,13 +4,18 @@ Input is first desugared to the core constructors, then rewritten clause by
 clause. Every recursive call must strictly decrease the lexicographic
 (ndc, nsc) measure; a call that would not raises measure-violation. The
 result is a static core formula and the rewrite is idempotent on its output.
+
+Within one call, equal subformulas are translated once: a repeat appends the
+trace steps of the first translation again, re-checks each of their calls'
+measures, and shares its result. So the trace is the one a plain recursion
+would record, and the output is a DAG.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .formula import (And, Atom, D, Dhat, Eee, Formula, Not, See, Sse,
-                      agents_of, c_greater, desugar, ndc)
+                      agents_of, c_greater, desugar, dhat_core, ndc)
 from .kripke_core import KripkitError
 
 
@@ -31,16 +36,6 @@ class TranslationTrace:
 
     def __len__(self):
         return len(self.steps)
-
-
-def _imp_core(a: Formula, b: Formula) -> Formula:
-    return Not(And(a, Not(b)))
-
-
-def _dhat_core(group, chi: Formula, psi: Formula) -> Formula:
-    """Core expansion of the conditional distributed-knowledge operator."""
-    return And(_imp_core(chi, D(group, _imp_core(chi, psi))),
-               _imp_core(Not(chi), D(group, _imp_core(Not(chi), psi))))
 
 
 def _rewrap(op: Formula, sub: Formula) -> Formula:
@@ -71,14 +66,68 @@ def translate_traced(phi: Formula, agents=None):
             raise KripkitError("unknown-agent",
                                f"formula mentions agents outside roster: {missing}")
     steps = []
-    result = _tau(desugar(phi), roster, steps)
+    result = _tau(desugar(phi), roster, steps, _Memo())
     if ndc(result) != 0:
         raise KripkitError("measure-violation",
                            f"translation of {phi} is not static: {result}")
     return result, TranslationTrace(tuple(steps))
 
 
-def _tau(f: Formula, roster, steps: list) -> Formula:
+class _Memo:
+    """What one translation call has met and finished.
+
+    seen: id of each formula object met -> (that object, its canonical
+      form), the canonical form being the first equal formula met. Holding
+      the object keeps its id from being reused within the call.
+    table: (type, name or group, id of each canonical child) -> canonical
+      form; keyed by identity, so no lookup hashes a whole subtree.
+    done: id of a canonical form -> (its translation, index of its first
+      trace step, index after its last step).
+    """
+
+    def __init__(self):
+        self.seen = {}
+        self.table = {}
+        self.done = {}
+
+    def canonical(self, f: Formula) -> Formula:
+        got = self.seen.get(id(f))
+        if got is not None:
+            return got[1]
+        t = type(f)
+        if t is Atom:
+            key = (t, f.name)
+        elif t is Not or t is Eee:
+            key = (t, id(self.canonical(f.sub)))
+        elif t is And:
+            key = (t, id(self.canonical(f.left)), id(self.canonical(f.right)))
+        elif t is D or t is See:
+            key = (t, f.group, id(self.canonical(f.sub)))
+        elif t is Sse or t is Dhat:
+            key = (t, f.group, id(self.canonical(f.topic)),
+                   id(self.canonical(f.sub)))
+        else:
+            key = (t, id(f))
+        c = self.table.setdefault(key, f)
+        self.seen[id(f)] = (f, c)
+        return c
+
+
+def _tau(f: Formula, roster, steps: list, memo: _Memo) -> Formula:
+    key = id(memo.canonical(f))
+    got = memo.done.get(key)
+    if got is not None:
+        # a repeat: the same steps again, each of their calls re-checked
+        result, first, end = got
+        replay = steps[first:end]
+        for step in replay:
+            for g in step.calls:
+                if not c_greater(step.formula, g):
+                    raise KripkitError("measure-violation",
+                                       f"no (ndc, nsc) decrease from "
+                                       f"{step.formula} to {g}")
+        steps += replay
+        return result
     entry = len(steps)
     steps.append(None)
     calls = []
@@ -88,10 +137,11 @@ def _tau(f: Formula, roster, steps: list) -> Formula:
             raise KripkitError("measure-violation",
                                f"no (ndc, nsc) decrease from {f} to {g}")
         calls.append(g)
-        return _tau(g, roster, steps)
+        return _tau(g, roster, steps, memo)
 
     result, clause = _step(f, roster, call)
     steps[entry] = TraceStep(f, clause, tuple(calls), result)
+    memo.done[key] = (result, entry, len(steps))
     return result
 
 
@@ -107,7 +157,7 @@ def _step(f: Formula, roster, call):
     if isinstance(f, Dhat):
         # expand around the two already-reduced components; the expansion
         # itself is static, so no further call on it
-        return _dhat_core(f.group, call(f.topic), call(f.sub)), "dhat"
+        return dhat_core(f.group, call(f.topic), call(f.sub)), "dhat"
     if isinstance(f, (Eee, See, Sse)):
         inner = f.sub
         if isinstance(inner, Atom):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
 
-from .engine import (compile_program, decode_index, model_bits, model_index,
-                     run_one, run_range)
+from .engine import (check_distinct, compile_program, decode_index,
+                     model_bits, model_index, run_one, run_range)
 from .formula import (And, Atom, D, Dhat, Eee, Formula, Iff, Implies, K, Not,
                       Or, See, Sse)
 from .kripke_core import KripkitError, Model, PointedModel
@@ -42,6 +42,8 @@ class SearchBounds:
             raise KripkitError("bounds-too-large", "sample must be >= 1")
         if not self.agents:
             raise KripkitError("empty-group", "agent roster is empty")
+        check_distinct("agent", self.agents)
+        check_distinct("atom", self.atoms)
 
 
 @dataclass(frozen=True)

@@ -62,3 +62,25 @@ def random_formula(rng: random.Random, depth: int, atoms=("p", "q"),
         return Sse(g, sub(), sub())
     g = frozenset(rng.sample(agents, rng.randint(1, len(agents))))
     return Dhat(g, sub(), sub())
+
+
+class CountedName(str):
+    """An atom or agent name that fails once it is hashed more than `limit`
+    times, so that a walk visiting every occurrence of a shared node fails
+    fast instead of running for ever."""
+    limit = 8
+
+    def __hash__(self):
+        self.uses = getattr(self, "uses", 0) + 1
+        assert self.uses <= self.limit, f"{self!r} hashed {self.uses} times"
+        return str.__hash__(self)
+
+
+def doubled(depth):
+    """A DAG of depth + 1 objects (plus a 4-node leaf) whose tree has more
+    than 2**depth nodes; its names are CountedNames."""
+    p, q, b = CountedName("p"), CountedName("q"), CountedName("b")
+    f = Sse(frozenset("a"), Atom(p), K(b, Atom(q)))
+    for i in range(depth):
+        f = (And, Implies)[i % 2](f, f)
+    return f

@@ -133,6 +133,14 @@ def test_validity_sample_below_one_is_usage_error(sample):
     assert "bounds-too-large" in res.output
 
 
+@pytest.mark.parametrize("agents, atoms", [("a,a", "p"), ("a", "p,q,p")])
+def test_validity_duplicate_roster_entry_is_usage_error(agents, atoms):
+    res = run("validity", "--formula", "K_a p", "--max-worlds", "2",
+              "--agents", agents, "--atoms", atoms)
+    assert res.exit_code == 2
+    assert "duplicate-roster-entry" in res.output
+
+
 def test_demo_paper():
     res = run("demo", "paper")
     assert res.exit_code == 0

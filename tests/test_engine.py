@@ -1,9 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from kripkit import (And, Atom, D, Eee, Iff, K, KripkitError, Not, Or, See,
-                     Sse, satisfies)
+                     Sse, ndc, satisfies, translate)
 from kripkit import engine
 from kripkit.engine import (K_ATOM, K_D, K_EEE, K_SEE, K_SSE, Program,
                             backend_name, compile_program, run_one, run_range)
@@ -183,3 +184,40 @@ def test_hand_built_bad_programs_error(scan):
     with pytest.raises(KripkitError) as e:
         run(bad2)
     assert e.value.code == "unknown-schema"
+
+
+def test_programs_of_equivalence_checks_are_pinned():
+    # the programs check_equivalence(phi, translate(phi)) compiles for the
+    # first 200 criterion-3 formulas; sha256 taken on the compiler that
+    # walked every occurrence of a shared node
+    rng = random.Random(31415)
+    h, done = hashlib.sha256(), 0
+    while done < 200:
+        phi = gen.random_formula(rng, 4, ATOMS, AGENTS)
+        if ndc(phi) == 0:
+            continue
+        prog = compile_program(Iff(phi, translate(phi, agents=AGENTS)),
+                               AGENTS, ATOMS)
+        h.update(repr((prog.kinds, prog.a1, prog.a2, prog.a3,
+                       prog.root)).encode())
+        done += 1
+    assert h.hexdigest() == \
+        "6dd2a13eea5e68b0e54b84fff07b8591ee6d76429a214e7050245e944389d0f3"
+
+
+def test_shared_program_input_is_compiled_once():
+    # 2**64 occurrences of the leaf, 65 objects
+    prog = compile_program(gen.doubled(64), AGENTS, ATOMS)
+    leaf = compile_program(gen.doubled(0), AGENTS, ATOMS)
+    # And(f, f) adds one node, Implies(f, f) = ~(f & ~f) three
+    assert prog.n_nodes == leaf.n_nodes + 32 * 1 + 32 * 3
+    # every level from the second on is an implication f -> f
+    for n in (1, 2):
+        assert run_range(prog, n, 0, 1 << model_bits(n, 2, 2))[0] == -1
+
+
+def test_duplicate_roster_entries_rejected():
+    for agents, atoms in ((("a", "a"), ATOMS), (AGENTS, ("p", "q", "p"))):
+        with pytest.raises(KripkitError) as e:
+            compile_program(Atom("p"), agents, atoms)
+        assert e.value.code == "duplicate-roster-entry"

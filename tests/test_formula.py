@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from kripkit import (And, Atom, Bot, D, Dhat, Eee, Formula, Iff, Implies, K,
                      KripkitError, Not, Or, See, Sse, Top, agents_of,
                      atoms_of, c_greater, complexity, desugar, ndc, nsc,
                      parse, print_formula)
+from kripkit.formula import symbols_of
 
 import gen
 
@@ -262,3 +264,69 @@ def test_desugar_idempotent_and_core(f):
     d = desugar(f)
     assert ndc(d) == ndc(f)
     assert desugar(d) == d
+
+
+def _every_connective(rng, depth, shared):
+    """A formula that can use every constructor. Some children are earlier
+    subformula objects again, so the batch also prints shared nodes."""
+    if shared and rng.random() < 0.1:
+        return rng.choice(shared)
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice((Atom("p"), Atom("q"), Top(), Bot()))
+    sub = lambda: _every_connective(rng, depth - 1, shared)
+    group = lambda least: frozenset(rng.sample("abc", rng.randint(least, 3)))
+    kind = rng.randrange(13)
+    if kind == 0:
+        out = Not(sub())
+    elif kind < 5:
+        out = (And, Or, Implies, Iff)[kind - 1](sub(), sub())
+    elif kind == 5:
+        out = Implies(Implies(sub(), sub()), sub())
+    elif kind == 6:
+        out = Iff(Iff(sub(), sub()), Implies(sub(), sub()))
+    elif kind == 7:
+        out = K(rng.choice("abc"), sub())
+    elif kind == 8:
+        out = D(group(1), sub())
+    elif kind == 9:
+        out = Eee(sub())
+    elif kind == 10:
+        out = See(group(0), sub())
+    elif kind == 11:
+        out = Sse(group(0), sub(), sub())
+    else:
+        out = Dhat(group(1), sub(), sub())
+    shared.append(out)
+    return out
+
+
+def test_printed_batch_is_pinned():
+    # sha256 taken on the tree-walking printer this one replaced
+    rng = random.Random(71)
+    shared = []
+    texts = [print_formula(_every_connective(rng, rng.randint(0, 5), shared))
+             for _ in range(400)]
+    for name in ("Top()", "Bot()", "Dhat(", "Iff(", "Implies(left=Implies("):
+        assert any(name in repr(f) for f in shared), name
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == \
+        "7179d4b98325c4ff8b0c274445b835b4005c12f39160c3a0fa203fb2d144b4fc"
+
+
+def _tree_copy(f):
+    if isinstance(f, (And, Implies)):
+        return type(f)(_tree_copy(f.left), _tree_copy(f.right))
+    return parse(print_formula(f))
+
+
+def test_shared_nodes_are_walked_once():
+    # 2**64 occurrences of the leaf: a walk over occurrences would hash its
+    # names more often than gen.CountedName allows
+    assert symbols_of(gen.doubled(64)) == (frozenset("pq"), frozenset("ab"))
+    d = desugar(gen.doubled(64))
+    assert d.sub.left is d.sub.right.sub
+    assert symbols_of(d) == (frozenset("pq"), frozenset("ab"))
+    small = gen.doubled(10)
+    copy = _tree_copy(small)
+    assert copy == small and copy.left is not copy.right
+    assert print_formula(small) == print_formula(copy)
+    assert desugar(small) == desugar(copy)

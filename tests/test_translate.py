@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import os
@@ -7,8 +8,8 @@ import sys
 
 import pytest
 
-from kripkit import (And, Atom, D, Dhat, Eee, Iff, K, KripkitError, Not, See,
-                     Sse, agents_of, c_greater, desugar, ndc, parse,
+from kripkit import (And, Atom, D, Dhat, Eee, Formula, Iff, K, KripkitError,
+                     Not, See, Sse, agents_of, c_greater, desugar, ndc, parse,
                      print_formula, translate, translate_traced, truth_set)
 
 import gen
@@ -186,3 +187,119 @@ def test_invariant_checks_run_under_optimize(code):
                          capture_output=True, text=True, env=dict(os.environ))
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == code
+
+
+def _reference_traced(phi, agents):
+    """Plain recursion over translate._step, no memo: the trace as the
+    rewrite clauses define it."""
+    TR = importlib.import_module("kripkit.translate")
+    roster = frozenset(agents)
+    steps = []
+
+    def tau(f):
+        entry = len(steps)
+        steps.append(None)
+        calls = []
+
+        def call(g):
+            assert c_greater(f, g)
+            calls.append(g)
+            return tau(g)
+
+        result, clause = TR._step(f, roster, call)
+        steps[entry] = (f, clause, tuple(calls), result)
+        return result
+
+    return tau(desugar(phi)), steps
+
+
+def _numbering():
+    """Maps formulas to ints, equal ints exactly for equal formulas; each
+    object is numbered once, so large shared outputs compare quickly."""
+    table, seen = {}, {}
+
+    def num(f):
+        got = seen.get(id(f))
+        if got is not None:
+            return got[1]
+        key = (type(f),) + tuple(
+            num(v) if isinstance(v, Formula) else v
+            for v in (getattr(f, k.name) for k in dataclasses.fields(f)))
+        n = table.setdefault(key, len(table))
+        seen[id(f)] = (f, n)  # holding f keeps its id from being reused
+        return n
+
+    return num
+
+
+def _criterion_3_formulas(count):
+    rng = random.Random(31415)  # test_acceptance's criterion-3 seed
+    out = []
+    while len(out) < count:
+        phi = gen.random_formula(rng, 4, ("p", "q"), ("a", "b"))
+        if ndc(phi) != 0:
+            out.append(phi)
+    return out
+
+
+def _trace_inputs():
+    rng = random.Random(48)
+    yield parse(README_EXAMPLE), ("a", "b")
+    for phi in _criterion_3_formulas(200):
+        yield phi, ("a", "b")
+    for _ in range(100):
+        yield gen.random_formula(rng, rng.randint(0, 5)), ("a", "b", "c")
+
+
+def test_trace_matches_plain_recursion_step_for_step():
+    for phi, agents in _trace_inputs():
+        out, trace = translate_traced(phi, agents=agents)
+        want_out, want = _reference_traced(phi, agents)
+        num = _numbering()
+        assert num(out) == num(want_out)
+        assert len(trace) == len(want)
+        for step, (f, clause, calls, result) in zip(trace, want):
+            assert step.clause == clause
+            assert num(step.formula) == num(f)
+            assert [num(g) for g in step.calls] == [num(g) for g in calls]
+            assert num(step.result) == num(result)
+        assert translate(phi, agents=agents) == out
+
+
+def test_translation_output_is_shared():
+    out, trace = translate_traced(parse(README_EXAMPLE), agents=("a", "b"))
+    objects, todo = {}, [out]
+    while todo:
+        f = todo.pop()
+        if id(f) not in objects:
+            objects[id(f)] = f
+            todo += [v for v in vars(f).values() if isinstance(v, Formula)]
+    assert len(objects) == 451
+    assert len({id(s) for s in trace}) == 401
+    assert len(print_formula(out)) == 31491
+
+
+def test_measure_check_runs_on_replayed_steps(monkeypatch):
+    TR = importlib.import_module("kripkit.translate")
+    _, trace = translate_traced(parse(README_EXAMPLE), agents=("a", "b"))
+    first = {}
+    for i, s in enumerate(trace):
+        first.setdefault(id(s), i)
+    # a step met again after its first translation: a second check of one of
+    # its calls can only come from replaying it
+    i = next(i for i, s in enumerate(trace) if first[id(s)] < i and s.calls)
+    f, g = trace.steps[i].formula, trace.steps[i].calls[0]
+    real, hits = TR.c_greater, []
+
+    def failing_on_replay(a, b):
+        if a == f and b == g:
+            hits.append(b)
+            if len(hits) > 1:
+                return False
+        return real(a, b)
+
+    monkeypatch.setattr(TR, "c_greater", failing_on_replay)
+    with pytest.raises(KripkitError) as e:
+        translate_traced(parse(README_EXAMPLE), agents=("a", "b"))
+    assert e.value.code == "measure-violation"
+    assert len(hits) == 2

@@ -97,6 +97,13 @@ def test_bounds_validation():
     assert e.value.code == "bounds-too-large"
 
 
+def test_duplicate_roster_entries_rejected():
+    for agents, atoms in ((("a", "b", "a"), ("p",)), (("a",), ("p", "p"))):
+        with pytest.raises(KripkitError) as e:
+            SearchBounds(2, agents, atoms)
+        assert e.value.code == "duplicate-roster-entry"
+
+
 @pytest.mark.parametrize("sample", [None, 50])
 def test_rejected_countermodel_has_a_stable_code(sample, monkeypatch):
     # a kernel that reports a model where the formula holds is caught by
