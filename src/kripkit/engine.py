@@ -14,28 +14,43 @@ indices of model_bits(n, nag, nat) bits. Layout, most significant bit first:
 Index 0 is the all-empty model. That is nag*n relation rows followed by nat
 valuations, each an n-bit word with bit v at position (word*n + v);
 decode_index and model_index convert between indices and those words.
-Frames (relation states) are tuples of successor rows, row k*n + u for agent
-k at world u, as in Model.rows.
 
-The valuation bits are the low n*nat bits of an index, so a block of 2**L
-consecutive indices (aligned, L <= n*nat) shares one frame. The kernel
-evaluates the program once per block, with the models of the block as
-lanes: a node's value is one int per world, and bit i of the int for world
-u is the node's truth at u in model base + i (bitslicing). Node results are
-memoised per (node, frame) within one block.
+The kernel evaluates the program once per aligned block of 2**L consecutive
+indices, with the models of the block as lanes (bitslicing): every index
+bit is a lane vector, an int whose bit i is that index bit of model
+base + i. Bits below L are projections; bits at or above L are all-ones or
+zero for the block. A node's value is one lane vector per world.
+
+Frames (relation states) are the n*n*nag relation-bit lane vectors in
+layout order, entry k*n*n + u*n + v for R_k(u, v). With R_G(u, v) the AND
+of R_k(u, v) over k in G (all-ones for the empty group):
+  D_G:        out[u] = lanes & ~OR_v(R_G(u, v) & ~sub[v])
+  eee:        every agent gets R_all
+  see S:      agent k gets R_k & R_S
+  sse S|chi:  with X(u, v) = chi[u] ^ chi[v], the pairs that cross the
+              topic, agent k gets the subtractive form
+              R_k & ~OR_{j in S}(~R_j & X) and the intersection form
+              R_k & (R_S | ~X); the two are compared on every lane and
+              definition-mismatch is raised where they differ.
+The topic is evaluated on every lane at once, so the body of an sse node is
+evaluated once per frame. The frames met in a block are numbered, and node
+results are memoised per (node, frame number) within the block.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import and_
 
 from .formula import And, Atom, D, Eee, Formula, Not, See, Sse, desugar
 from .kripke_core import KripkitError
 
 K_ATOM, K_NOT, K_AND, K_D, K_EEE, K_SEE, K_SSE = range(7)
 
-# A block holds at most 2**LANE_BITS models. Every lane of a block is
-# evaluated before its first failure is reported, so wider blocks delay
-# early failures.
+# A block holds at most 2**LANE_BITS models, and no more than the
+# valuation bits span (L <= n*nat), so its relation bits are all-ones or
+# zero. The frame algebra would take wider blocks as they are; they stay
+# narrow because every lane of a block is evaluated before its first
+# failure is reported, so wider blocks delay early failures.
 LANE_BITS = 12
 
 
@@ -165,59 +180,6 @@ def model_index(model) -> int:
 
 # -- scan kernel --
 
-def _group_rows(frame, g, n, full):
-    """Per world u, the worlds that every agent in mask g reaches from u."""
-    out = []
-    for u in range(n):
-        dr = full
-        m, kk = g, 0
-        while m:
-            if m & 1:
-                dr &= frame[kk * n + u]
-            m >>= 1
-            kk += 1
-        out.append(dr)
-    return out
-
-
-def _eee_frame(frame, n, nag, full):
-    return tuple(_group_rows(frame, (1 << nag) - 1, n, full)) * nag
-
-
-def _see_frame(frame, s, n, nag, full):
-    if s == 0:
-        return frame
-    sr = _group_rows(frame, s, n, full)
-    return tuple(frame[kk * n + u] & sr[u]
-                 for kk in range(nag) for u in range(n))
-
-
-def _sse_frame(frame, s, chi, n, nag, full):
-    """Frame after [sse S | chi], chi a world mask. Builds the subtractive
-    and the intersection form of the definition and checks they agree."""
-    co = full & ~chi
-    fi = [co if (chi >> u) & 1 else chi for u in range(n)]
-    ko = [chi if (chi >> u) & 1 else co for u in range(n)]
-    ds = _group_rows(frame, s, n, full)
-    nf = []
-    for kk in range(nag):
-        for u in range(n):
-            cut = 0
-            m, jj = s, 0
-            while m:
-                if m & 1:
-                    cut |= (full & ~frame[jj * n + u]) & fi[u]
-                m >>= 1
-                jj += 1
-            sub_row = frame[kk * n + u] & ~cut
-            int_row = frame[kk * n + u] & (ds[u] | ko[u])
-            if sub_row != int_row:
-                raise KripkitError("definition-mismatch",
-                                   "subtractive and intersection forms disagree")
-            nf.append(sub_row)
-    return tuple(nf)
-
-
 def _projections(L):
     """Lane vectors over 2**L lanes: entry b has bit i set iff bit b of i is."""
     lanes = (1 << (1 << L)) - 1
@@ -228,67 +190,106 @@ def _projections(L):
     return out
 
 
-def _lane_evaluator(prog, n, lanes, atom_vals, memo):
-    """Evaluator of node values as per-world lane vectors (see the module
-    docstring). atom_vals and memo are filled in by the caller per block."""
+def _lane_evaluator(prog, n, lanes):
+    """Evaluator of the root as per-world lane vectors on one block (see the
+    module docstring)."""
     kinds, a1, a2, a3 = prog.kinds, prog.a1, prog.a2, prog.a3
     nag = len(prog.agents)
-    full = (1 << n) - 1
-    worlds = range(n)
+    nn = n * n
+    pairs = [(u, v) for u in range(n) for v in range(n)]
+    frames, numbers, memo = [], {}, []
+    atom_vals = []
 
-    def ev(node, frame):
-        key = (node, frame)
-        got = memo.get(key)
+    def number(frame):
+        f = numbers.get(frame)
+        if f is None:
+            f = numbers[frame] = len(frames)
+            frames.append(frame)
+            memo.append({})
+        return f
+
+    members = {}
+
+    def meet(frame, g):
+        """R_G(u, v) for every pair, all-ones for the empty group."""
+        offs = members.get(g)
+        if offs is None:
+            offs = members[g] = [k * nn for k in range(nag) if (g >> k) & 1]
+        if not offs:
+            return (lanes,) * nn
+        out = frame[offs[0]:offs[0] + nn]
+        for o in offs[1:]:
+            out = tuple(map(and_, out, frame[o:o + nn]))
+        return out
+
+    def ev(node, f):
+        got = memo[f].get(node)
         if got is not None:
             return got
+        frame = frames[f]
         k = kinds[node]
         if k == K_ATOM:
             out = atom_vals[a1[node]]
         elif k == K_NOT:
-            out = tuple([lanes ^ x for x in ev(a1[node], frame)])
+            out = tuple([lanes ^ x for x in ev(a1[node], f)])
         elif k == K_AND:
             out = tuple([x & y for x, y in
-                         zip(ev(a1[node], frame), ev(a2[node], frame))])
+                         zip(ev(a1[node], f), ev(a2[node], f))])
         elif k == K_D:
-            g = a1[node]
-            if g == 0:
+            if a1[node] == 0:
                 raise KripkitError("empty-group", "D node with empty mask")
-            sub = ev(a2[node], frame)
-            acc = []
-            for dr in _group_rows(frame, g, n, full):
-                x, v = lanes, 0
-                while dr:
-                    if dr & 1:
-                        x &= sub[v]
-                    dr >>= 1
-                    v += 1
+            sub = ev(a2[node], f)
+            rg = meet(frame, a1[node])
+            # out[u] = AND_v(sub[v] | ~R_G(u, v)); pairs outside R_G drop out
+            acc, i = [], 0
+            for _ in range(n):
+                x = lanes
+                for y in sub:
+                    if rg[i]:
+                        x &= y | ~rg[i]
+                    i += 1
                 acc.append(x)
             out = tuple(acc)
         elif k == K_EEE:
-            out = ev(a1[node], _eee_frame(frame, n, nag, full))
+            out = ev(a1[node], number(meet(frame, (1 << nag) - 1) * nag))
         elif k == K_SEE:
-            out = ev(a2[node], _see_frame(frame, a1[node], n, nag, full))
+            rs = meet(frame, a1[node])
+            out = ev(a2[node], number(tuple(map(and_, frame, rs * nag))))
         elif k == K_SSE:
             s = a1[node]
-            chi = ev(a2[node], frame)
-            acc = [0] * n
-            # the updated frame depends on the topic's truth pattern over
-            # the worlds; evaluate the body once per pattern that occurs
-            for c in range(full + 1):
-                m = lanes
-                for u in worlds:
-                    m &= chi[u] if (c >> u) & 1 else lanes ^ chi[u]
-                if m:
-                    body = ev(a3[node], _sse_frame(frame, s, c, n, nag, full))
-                    for u in worlds:
-                        acc[u] |= body[u] & m
-            out = tuple(acc)
+            chi = ev(a2[node], f)
+            cross = [chi[u] ^ chi[v] for u, v in pairs]
+            # subtractive form: cut the pairs that cross the topic where a
+            # sender does not relate them
+            cut = [0] * nn
+            for j in range(nag):
+                if (s >> j) & 1:
+                    cut = [c | (x & ~r) for c, x, r in
+                           zip(cut, cross, frame[j * nn:(j + 1) * nn])]
+            sub_form = tuple([x & ~c for x, c in zip(frame, cut * nag)])
+            # intersection form: keep pairs the senders relate or that stay
+            # on one side of the topic
+            keep = [r | ~x for r, x in zip(meet(frame, s), cross)]
+            int_form = tuple(map(and_, frame, keep * nag))
+            if sub_form != int_form:
+                raise KripkitError("definition-mismatch",
+                                   "subtractive and intersection forms disagree")
+            out = ev(a3[node], number(sub_form))
         else:
             raise KripkitError("unknown-schema", f"bad node kind {k}")
-        memo[key] = out
+        memo[f][node] = out
         return out
 
-    return ev
+    def run(frame, vals):
+        """The root's value on a block with this frame and these atom
+        values."""
+        frames.clear()
+        numbers.clear()
+        memo.clear()
+        atom_vals[:] = vals
+        return ev(prog.root, number(frame))
+
+    return run
 
 
 def _scan(prog: Program, n: int, start: int, stop: int):
@@ -298,28 +299,20 @@ def _scan(prog: Program, n: int, start: int, stop: int):
     if stop <= start:
         return -1, -1, 0
     nag, nat = len(prog.agents), len(prog.atoms)
-    nv = n * nat
-    L = min(nv, LANE_BITS, (stop - start).bit_length() - 1)
+    nr = n * n * nag
+    B = model_bits(n, nag, nat)
+    L = min(n * nat, LANE_BITS, (stop - start).bit_length() - 1)
     width = 1 << L
     lanes = (1 << width) - 1
     proj = _projections(L)
-    atom_vals = [()] * nat
-    memo = {}
-    ev = _lane_evaluator(prog, n, lanes, atom_vals, memo)
+    run = _lane_evaluator(prog, n, lanes)
     base = start - start % width
     while base < stop:
-        frame, vals = decode_index(base, n, nag, nat)
-        for t in range(nat):
-            vec = []
-            for u in range(n):
-                b = nv - 1 - (t * n + u)
-                if b < L:
-                    vec.append(proj[b])
-                else:
-                    vec.append(lanes if (vals[t] >> u) & 1 else 0)
-            atom_vals[t] = tuple(vec)
-        memo.clear()
-        root_val = ev(prog.root, frame)
+        # the block's index bits in layout order, position j at bit B-1-j
+        bits = [proj[b] if b < L else lanes * ((base >> b) & 1)
+                for b in range(B - 1, -1, -1)]
+        root_val = run(tuple(bits[:nr]),
+                       [tuple(bits[i:i + n]) for i in range(nr, B, n)])
         bad = 0
         for x in root_val:
             bad |= lanes ^ x

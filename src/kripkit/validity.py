@@ -22,6 +22,9 @@ from .kripke_core import KripkitError, Model, PointedModel
 from .semantics import satisfies
 
 EXHAUSTIVE_BIT_CAP = 24
+# An arbitrary limit on the index bits of sampled models. The kernel and the
+# codec take indices of any width (Python ints); the cap is kept so that the
+# bounds accepted and refused stay the same.
 SAMPLE_BIT_CAP = 62
 
 

@@ -4,10 +4,11 @@ import random
 import pytest
 
 from kripkit import (And, Atom, D, Eee, Iff, K, KripkitError, Not, Or, See,
-                     Sse, ndc, satisfies, translate)
+                     Sse, ndc, translate)
 from kripkit import engine
 from kripkit.engine import (K_ATOM, K_D, K_EEE, K_SEE, K_SSE, Program,
                             backend_name, compile_program, run_one, run_range)
+from kripkit.semantics import truth_mask
 from kripkit.validity import decode_model, model_bits
 
 import gen
@@ -80,8 +81,8 @@ def test_indices_outside_the_model_space_are_refused():
 
 def _first_failing_world(model, phi):
     """Smallest world of model where phi fails, by the reference semantics."""
-    return next((w for w in range(model.n) if not satisfies(model, w, phi)),
-                -1)
+    fails = ~truth_mask(model, phi) & ((1 << model.n) - 1)
+    return (fails & -fails).bit_length() - 1
 
 
 def _reference_scan(phi, n, agents, atoms):
@@ -101,44 +102,69 @@ def _reference_scan(phi, n, agents, atoms):
     return first_failure
 
 
+# (agents, atoms, world counts): three agents, so that a kernel which reads
+# only the first two is caught, and three worlds on the smallest roster
+SCAN_SHAPES = [
+    (("a", "b"), ("p", "q"), (1, 2)),
+    (("a", "b", "c"), ("p",), (1, 2)),
+    (("a",), ("p",), (1, 2, 3)),
+    (("a", "b"), ("p",), (1, 2)),
+]
+
+
+def _group(rng, agents):
+    return frozenset(rng.sample(agents, rng.randint(0, len(agents))))
+
+
 @pytest.mark.parametrize("lane_bits", [0, 1, 3, engine.LANE_BITS])
 def test_pure_range_matches_per_model_scan(lane_bits, monkeypatch):
     # the blocked run_range must report the first failure that the
     # reference semantics finds model by model, on every range
     monkeypatch.setattr(engine, "LANE_BITS", lane_bits)
     rng = random.Random(63 + lane_bits)
-    seen, kinds = set(), set()
-    for trial in range(16):
-        agents = AGENTS[:rng.randint(1, 2)]
-        atoms = ATOMS[:rng.randint(1, 2)]
-        phi = gen.random_formula(rng, rng.randint(2, 4), atoms=atoms,
+    seen, nodes = set(), set()
+    for trial in range(20):
+        # every roster shape meets every wrapper once
+        agents, atoms, worlds = SCAN_SHAPES[trial % len(SCAN_SHAPES)]
+        phi = gen.random_formula(rng, rng.randint(2, 3), atoms=atoms,
                                  agents=agents)
-        group = frozenset(rng.sample(agents, rng.randint(0, len(agents))))
-        if trial % 3 == 0:
-            phi = Eee(phi)
-        elif trial % 3 == 1:
-            phi = See(group, phi)
-        else:
-            chi = gen.random_formula(rng, 2, atoms=atoms, agents=agents)
+        chi = gen.random_formula(rng, 2, atoms=atoms, agents=agents)
+        group = _group(rng, agents)
+        wrap = trial // len(SCAN_SHAPES)
+        # the same phi object in two frames shares its program nodes
+        if wrap == 0:
+            phi = And(phi, Eee(phi))
+        elif wrap == 1:
+            phi = And(phi, See(group, phi))
+        elif wrap == 2:
             phi = Sse(group, chi, phi)
-        if trial % 2:
+        elif wrap == 3:
+            # updates inside the topic and inside the body of an sse
+            phi = Sse(group, See(_group(rng, agents), chi),
+                      Sse(_group(rng, agents), Eee(chi), phi))
+        else:
+            # the empty sender group reads as the full relation
+            phi = And(See(frozenset(), phi), Sse(frozenset(), chi, phi))
+        if rng.random() < 0.4:
             # a valid program over the same nodes scans its whole range
             phi = Or(phi, Not(phi))
         prog = compile_program(phi, agents, atoms)
-        kinds.update(prog.kinds)
-        for n in (1, 2):
+        nodes.update(zip(prog.kinds, [m == 0 for m in prog.a1]))
+        for n in worlds:
             top = 1 << model_bits(n, len(agents), len(atoms))
             want = _reference_scan(phi, n, agents, atoms)
-            ranges = [(0, top), (0, 0), (top - 1, top)]
-            for _ in range(6):
+            # the whole range, or its last 2**10 models on larger shapes
+            ranges = [(max(0, top - (1 << 10)), top), (0, 0), (top - 1, top)]
+            for _ in range(4):
                 a = rng.randrange(top)
-                ranges.append((a, rng.randint(a, top)))
+                ranges.append((a, min(top, a + rng.randint(0, 1 << 9))))
             for a, b in ranges:
                 got = run_range(prog, n, a, b)
                 assert got == want(a, b), (phi, n, a, b)
                 seen.add(got[0] >= 0)
     assert seen == {True, False}
-    assert {K_EEE, K_SEE, K_SSE} <= kinds
+    assert {K_EEE, K_SEE, K_SSE} <= {k for k, _ in nodes}
+    assert {(K_SEE, True), (K_SSE, True)} <= nodes
 
 
 def test_pure_range_with_more_valuation_bits_than_lanes():
