@@ -33,8 +33,8 @@ of R_k(u, v) over k in G (all-ones for the empty group):
               R_k & (R_S | ~X); the two are compared on every lane and
               definition-mismatch is raised where they differ.
 The topic is evaluated on every lane at once, so the body of an sse node is
-evaluated once per frame. The frames met in a block are numbered, and node
-results are memoised per (node, frame number) within the block.
+evaluated once per frame. Node results are memoised per (node, frame)
+within the block.
 """
 from __future__ import annotations
 
@@ -197,16 +197,8 @@ def _lane_evaluator(prog, n, lanes):
     nag = len(prog.agents)
     nn = n * n
     pairs = [(u, v) for u in range(n) for v in range(n)]
-    frames, numbers, memo = [], {}, []
+    memo = {}
     atom_vals = []
-
-    def number(frame):
-        f = numbers.get(frame)
-        if f is None:
-            f = numbers[frame] = len(frames)
-            frames.append(frame)
-            memo.append({})
-        return f
 
     members = {}
 
@@ -222,23 +214,23 @@ def _lane_evaluator(prog, n, lanes):
             out = tuple(map(and_, out, frame[o:o + nn]))
         return out
 
-    def ev(node, f):
-        got = memo[f].get(node)
+    def ev(node, frame):
+        key = (node, frame)
+        got = memo.get(key)
         if got is not None:
             return got
-        frame = frames[f]
         k = kinds[node]
         if k == K_ATOM:
             out = atom_vals[a1[node]]
         elif k == K_NOT:
-            out = tuple([lanes ^ x for x in ev(a1[node], f)])
+            out = tuple([lanes ^ x for x in ev(a1[node], frame)])
         elif k == K_AND:
             out = tuple([x & y for x, y in
-                         zip(ev(a1[node], f), ev(a2[node], f))])
+                         zip(ev(a1[node], frame), ev(a2[node], frame))])
         elif k == K_D:
             if a1[node] == 0:
                 raise KripkitError("empty-group", "D node with empty mask")
-            sub = ev(a2[node], f)
+            sub = ev(a2[node], frame)
             rg = meet(frame, a1[node])
             # out[u] = AND_v(sub[v] | ~R_G(u, v)); pairs outside R_G drop out
             acc, i = [], 0
@@ -251,13 +243,13 @@ def _lane_evaluator(prog, n, lanes):
                 acc.append(x)
             out = tuple(acc)
         elif k == K_EEE:
-            out = ev(a1[node], number(meet(frame, (1 << nag) - 1) * nag))
+            out = ev(a1[node], meet(frame, (1 << nag) - 1) * nag)
         elif k == K_SEE:
             rs = meet(frame, a1[node])
-            out = ev(a2[node], number(tuple(map(and_, frame, rs * nag))))
+            out = ev(a2[node], tuple(map(and_, frame, rs * nag)))
         elif k == K_SSE:
             s = a1[node]
-            chi = ev(a2[node], f)
+            chi = ev(a2[node], frame)
             cross = [chi[u] ^ chi[v] for u, v in pairs]
             # subtractive form: cut the pairs that cross the topic where a
             # sender does not relate them
@@ -274,20 +266,18 @@ def _lane_evaluator(prog, n, lanes):
             if sub_form != int_form:
                 raise KripkitError("definition-mismatch",
                                    "subtractive and intersection forms disagree")
-            out = ev(a3[node], number(sub_form))
+            out = ev(a3[node], sub_form)
         else:
             raise KripkitError("unknown-schema", f"bad node kind {k}")
-        memo[f][node] = out
+        memo[key] = out
         return out
 
     def run(frame, vals):
         """The root's value on a block with this frame and these atom
         values."""
-        frames.clear()
-        numbers.clear()
         memo.clear()
         atom_vals[:] = vals
-        return ev(prog.root, number(frame))
+        return ev(prog.root, frame)
 
     return run
 

@@ -102,14 +102,28 @@ def _reference_scan(phi, n, agents, atoms):
     return first_failure
 
 
-# (agents, atoms, world counts): three agents, so that a kernel which reads
-# only the first two is caught, and three worlds on the smallest roster
+def _assert_ranges_match(prog, phi, n, agents, atoms, ranges, seen):
+    want = _reference_scan(phi, n, agents, atoms)
+    for a, b in ranges:
+        got = run_range(prog, n, a, b)
+        assert got == want(a, b), (phi, n, a, b)
+        seen.add(got[0] >= 0)
+
+
+# (agents, atoms, world counts) met by every wrapper of the second pass:
+# three agents, so that a kernel which reads only the first two is caught,
+# and three worlds, where a one-agent roster leaves sse without effect
 SCAN_SHAPES = [
     (("a", "b"), ("p", "q"), (1, 2)),
     (("a", "b", "c"), ("p",), (1, 2)),
     (("a",), ("p",), (1, 2, 3)),
-    (("a", "b"), ("p",), (1, 2)),
+    (("a", "b"), ("p",), (1, 2, 3)),
+    (("a",), ("p", "q"), (1, 2)),
 ]
+# in the second pass, ranges past 2**SCAN_CAP models scan their first and
+# last 2**9 models and windows of at most 2**8 models instead of the whole
+# range and unbounded windows; the first pass scans whole ranges
+SCAN_CAP = 10
 
 
 def _group(rng, agents):
@@ -123,19 +137,46 @@ def test_pure_range_matches_per_model_scan(lane_bits, monkeypatch):
     monkeypatch.setattr(engine, "LANE_BITS", lane_bits)
     rng = random.Random(63 + lane_bits)
     seen, nodes = set(), set()
-    for trial in range(20):
+    for trial in range(16):
+        agents = AGENTS[:rng.randint(1, 2)]
+        atoms = ATOMS[:rng.randint(1, 2)]
+        phi = gen.random_formula(rng, rng.randint(2, 4), atoms=atoms,
+                                 agents=agents)
+        group = frozenset(rng.sample(agents, rng.randint(0, len(agents))))
+        if trial % 3 == 0:
+            phi = Eee(phi)
+        elif trial % 3 == 1:
+            phi = See(group, phi)
+        else:
+            chi = gen.random_formula(rng, 2, atoms=atoms, agents=agents)
+            phi = Sse(group, chi, phi)
+        if trial % 2:
+            # a valid program over the same nodes scans its whole range
+            phi = Or(phi, Not(phi))
+        prog = compile_program(phi, agents, atoms)
+        nodes.update(zip(prog.kinds, [m == 0 for m in prog.a1]))
+        for n in (1, 2):
+            top = 1 << model_bits(n, len(agents), len(atoms))
+            ranges = [(0, top), (0, 0), (top - 1, top)]
+            for _ in range(6):
+                a = rng.randrange(top)
+                ranges.append((a, rng.randint(a, top)))
+            _assert_ranges_match(prog, phi, n, agents, atoms, ranges, seen)
+    for trial in range(5 * len(SCAN_SHAPES)):
         # every roster shape meets every wrapper once
         agents, atoms, worlds = SCAN_SHAPES[trial % len(SCAN_SHAPES)]
-        phi = gen.random_formula(rng, rng.randint(2, 3), atoms=atoms,
-                                 agents=agents)
         chi = gen.random_formula(rng, 2, atoms=atoms, agents=agents)
+        # every body reads the last agent's relation
+        phi = Iff(gen.random_formula(rng, rng.randint(2, 3), atoms=atoms,
+                                     agents=agents), K(agents[-1], chi))
         group = _group(rng, agents)
         wrap = trial // len(SCAN_SHAPES)
         # the same phi object in two frames shares its program nodes
         if wrap == 0:
             phi = And(phi, Eee(phi))
         elif wrap == 1:
-            phi = And(phi, See(group, phi))
+            # the last agent's relation meets the first's
+            phi = And(phi, See(frozenset(agents[:1]), phi))
         elif wrap == 2:
             phi = Sse(group, chi, phi)
         elif wrap == 3:
@@ -146,22 +187,22 @@ def test_pure_range_matches_per_model_scan(lane_bits, monkeypatch):
             # the empty sender group reads as the full relation
             phi = And(See(frozenset(), phi), Sse(frozenset(), chi, phi))
         if rng.random() < 0.4:
-            # a valid program over the same nodes scans its whole range
             phi = Or(phi, Not(phi))
         prog = compile_program(phi, agents, atoms)
         nodes.update(zip(prog.kinds, [m == 0 for m in prog.a1]))
         for n in worlds:
-            top = 1 << model_bits(n, len(agents), len(atoms))
-            want = _reference_scan(phi, n, agents, atoms)
-            # the whole range, or its last 2**10 models on larger shapes
-            ranges = [(max(0, top - (1 << 10)), top), (0, 0), (top - 1, top)]
-            for _ in range(4):
+            bits = model_bits(n, len(agents), len(atoms))
+            top = 1 << bits
+            ranges = [(0, top), (0, 0), (top - 1, top)]
+            window, draws = top, 6
+            if bits > SCAN_CAP:
+                # frames whose top relation bits are all zero and all one
+                ranges[0:1] = [(0, 1 << 9), (top - (1 << 9), top)]
+                window, draws = 1 << 8, 4
+            for _ in range(draws):
                 a = rng.randrange(top)
-                ranges.append((a, min(top, a + rng.randint(0, 1 << 9))))
-            for a, b in ranges:
-                got = run_range(prog, n, a, b)
-                assert got == want(a, b), (phi, n, a, b)
-                seen.add(got[0] >= 0)
+                ranges.append((a, min(top, a + rng.randint(0, window))))
+            _assert_ranges_match(prog, phi, n, agents, atoms, ranges, seen)
     assert seen == {True, False}
     assert {K_EEE, K_SEE, K_SSE} <= {k for k, _ in nodes}
     assert {(K_SEE, True), (K_SSE, True)} <= nodes
