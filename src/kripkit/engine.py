@@ -33,12 +33,23 @@ of R_k(u, v) over k in G (all-ones for the empty group):
               R_k & (R_S | ~X); the two are compared on every lane and
               definition-mismatch is raised where they differ.
 The topic is evaluated on every lane at once, so the body of an sse node is
-evaluated once per frame. Node results are memoised per (node, frame)
-within the block.
+evaluated once per frame.
+
+The evaluator is a flat schedule over a list of registers, built once per
+program, world count and block width and kept on the Program. A walk from
+the root gives a register to each (node, frame) pair it meets, to each R_G
+it needs (one per group and frame) and to each frame: register 0 holds the
+block's relation bits, and an eee, see or sse node writes a new frame
+register, shared by updates of the same kind, group and topic on the same
+frame. The walk emits one step per register in dependency order, so a
+block runs the steps in a plain loop, with no recursion and no lookup keyed
+by a frame's value; frames equal by value but built along different paths
+sit in different registers. empty-group and unknown-schema are raised when
+the schedule is built, definition-mismatch when a step meets it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import and_
 
 from .formula import And, Atom, D, Eee, Formula, Not, See, Sse, desugar
@@ -48,9 +59,10 @@ K_ATOM, K_NOT, K_AND, K_D, K_EEE, K_SEE, K_SSE = range(7)
 
 # A block holds at most 2**LANE_BITS models, and no more than the
 # valuation bits span (L <= n*nat), so its relation bits are all-ones or
-# zero. The frame algebra would take wider blocks as they are; they stay
-# narrow because every lane of a block is evaluated before its first
-# failure is reported, so wider blocks delay early failures.
+# zero. A schedule is built for one (n, L) and its steps would take wider
+# blocks as they are; blocks stay narrow because every lane of a block is
+# evaluated before its first failure is reported, so wider blocks delay
+# early failures.
 LANE_BITS = 12
 
 
@@ -63,6 +75,8 @@ class Program:
     root: int
     agents: tuple
     atoms: tuple
+    # evaluators built by _schedule, keyed by (worlds, lane bits)
+    schedules: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -190,94 +204,130 @@ def _projections(L):
     return out
 
 
-def _lane_evaluator(prog, n, lanes):
-    """Evaluator of the root as per-world lane vectors on one block (see the
-    module docstring)."""
+def _schedule(prog, n, lanes):
+    """The root's evaluator at n worlds on blocks whose all-ones lane vector
+    is lanes: run(frame, vals) returns the root's per-world lane vectors
+    (see the module docstring)."""
     kinds, a1, a2, a3 = prog.kinds, prog.a1, prog.a2, prog.a3
-    nag = len(prog.agents)
+    nag, nat = len(prog.agents), len(prog.atoms)
     nn = n * n
     pairs = [(u, v) for u in range(n) for v in range(n)]
-    memo = {}
-    atom_vals = []
+    # register 0 holds the block's frame, 1..nat its atom values and the
+    # next one R_G for the empty group; every later one is written by its
+    # step, (register, fn) with reg[register] = fn(reg), in schedule order
+    ones = 1 + nat
+    init = [None] * ones + [[lanes] * nn]
+    steps = []
+    # (node, frame register), or a meet or frame key -> register
+    regs = {}
 
-    members = {}
+    def emit(fn):
+        steps.append((len(init), fn))
+        init.append(None)
+        return len(init) - 1
 
-    def meet(frame, g):
-        """R_G(u, v) for every pair, all-ones for the empty group."""
-        offs = members.get(g)
-        if offs is None:
-            offs = members[g] = [k * nn for k in range(nag) if (g >> k) & 1]
+    def once(key, fn):
+        o = regs.get(key)
+        if o is None:
+            o = regs[key] = emit(fn)
+        return o
+
+    def meet(g, f):
+        """Register of R_G(u, v) for every pair in frame register f."""
+        offs = [k * nn for k in range(nag) if (g >> k) & 1]
         if not offs:
-            return (lanes,) * nn
-        out = frame[offs[0]:offs[0] + nn]
-        for o in offs[1:]:
-            out = tuple(map(and_, out, frame[o:o + nn]))
-        return out
+            return ones
+        first, rest = offs[0], offs[1:]
 
-    def ev(node, frame):
-        key = (node, frame)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        k = kinds[node]
+        def fn(reg):
+            frame = reg[f]
+            out = frame[first:first + nn]
+            for j in rest:
+                out = list(map(and_, out, frame[j:j + nn]))
+            return out
+        return once(("meet", g, f), fn)
+
+    def node(i, f):
+        o = regs.get((i, f))
+        if o is None:
+            o = regs[i, f] = build(i, f)
+        return o
+
+    def build(i, f):
+        k = kinds[i]
         if k == K_ATOM:
-            out = atom_vals[a1[node]]
-        elif k == K_NOT:
-            out = tuple([lanes ^ x for x in ev(a1[node], frame)])
-        elif k == K_AND:
-            out = tuple([x & y for x, y in
-                         zip(ev(a1[node], frame), ev(a2[node], frame))])
-        elif k == K_D:
-            if a1[node] == 0:
+            return 1 + a1[i]
+        if k == K_NOT:
+            s = node(a1[i], f)
+            return emit(lambda reg: [lanes ^ x for x in reg[s]])
+        if k == K_AND:
+            x, y = node(a1[i], f), node(a2[i], f)
+            return emit(lambda reg: list(map(and_, reg[x], reg[y])))
+        if k == K_D:
+            if a1[i] == 0:
                 raise KripkitError("empty-group", "D node with empty mask")
-            sub = ev(a2[node], frame)
-            rg = meet(frame, a1[node])
-            # out[u] = AND_v(sub[v] | ~R_G(u, v)); pairs outside R_G drop out
-            acc, i = [], 0
-            for _ in range(n):
-                x = lanes
-                for y in sub:
-                    if rg[i]:
-                        x &= y | ~rg[i]
-                    i += 1
-                acc.append(x)
-            out = tuple(acc)
-        elif k == K_EEE:
-            out = ev(a1[node], meet(frame, (1 << nag) - 1) * nag)
-        elif k == K_SEE:
-            rs = meet(frame, a1[node])
-            out = ev(a2[node], tuple(map(and_, frame, rs * nag)))
-        elif k == K_SSE:
-            s = a1[node]
-            chi = ev(a2[node], frame)
-            cross = [chi[u] ^ chi[v] for u, v in pairs]
-            # subtractive form: cut the pairs that cross the topic where a
-            # sender does not relate them
-            cut = [0] * nn
-            for j in range(nag):
-                if (s >> j) & 1:
+            s, m = node(a2[i], f), meet(a1[i], f)
+
+            def fn(reg):
+                # out[u] = AND_v(sub[v] | ~R_G(u, v)); pairs outside R_G
+                # drop out
+                sub, rg = reg[s], reg[m]
+                acc, j = [], 0
+                for _ in range(n):
+                    x = lanes
+                    for y in sub:
+                        r = rg[j]
+                        if r:
+                            x &= y | ~r
+                        j += 1
+                    acc.append(x)
+                return acc
+            return emit(fn)
+        if k == K_EEE:
+            m = meet((1 << nag) - 1, f)
+            return node(a1[i], once(("eee", f), lambda reg: reg[m] * nag))
+        if k == K_SEE:
+            g = a1[i]
+            m = meet(g, f)
+            return node(a2[i], once(("see", g, f), lambda reg: list(
+                map(and_, reg[f], reg[m] * nag))))
+        if k == K_SSE:
+            s = a1[i]
+            t, m = node(a2[i], f), meet(s, f)
+            senders = [j * nn for j in range(nag) if (s >> j) & 1]
+
+            def fn(reg):
+                fr, chi = reg[f], reg[t]
+                cross = [chi[u] ^ chi[v] for u, v in pairs]
+                # subtractive form: cut the pairs that cross the topic where
+                # a sender does not relate them
+                cut = [0] * nn
+                for j in senders:
                     cut = [c | (x & ~r) for c, x, r in
-                           zip(cut, cross, frame[j * nn:(j + 1) * nn])]
-            sub_form = tuple([x & ~c for x, c in zip(frame, cut * nag)])
-            # intersection form: keep pairs the senders relate or that stay
-            # on one side of the topic
-            keep = [r | ~x for r, x in zip(meet(frame, s), cross)]
-            int_form = tuple(map(and_, frame, keep * nag))
-            if sub_form != int_form:
-                raise KripkitError("definition-mismatch",
-                                   "subtractive and intersection forms disagree")
-            out = ev(a3[node], sub_form)
-        else:
-            raise KripkitError("unknown-schema", f"bad node kind {k}")
-        memo[key] = out
-        return out
+                           zip(cut, cross, fr[j:j + nn])]
+                sub_form = [x & ~c for x, c in zip(fr, cut * nag)]
+                # intersection form: keep pairs the senders relate or that
+                # stay on one side of the topic
+                keep = [r | ~x for r, x in zip(reg[m], cross)]
+                if sub_form != list(map(and_, fr, keep * nag)):
+                    raise KripkitError(
+                        "definition-mismatch",
+                        "subtractive and intersection forms disagree")
+                return sub_form
+            return node(a3[i], once(("sse", s, t, f), fn))
+        raise KripkitError("unknown-schema", f"bad node kind {k}")
+
+    root = node(prog.root, 0)
 
     def run(frame, vals):
-        """The root's value on a block with this frame and these atom
-        values."""
-        memo.clear()
-        atom_vals[:] = vals
-        return ev(prog.root, frame)
+        # a list of its own per block, so that two threads scanning one
+        # program do not share registers
+        reg = init.copy()
+        reg[0] = frame
+        reg[1:ones] = vals
+        for o, fn in steps:
+            reg[o] = fn(reg)
+        return reg[root]
 
     return run
 
@@ -294,15 +344,16 @@ def _scan(prog: Program, n: int, start: int, stop: int):
     L = min(n * nat, LANE_BITS, (stop - start).bit_length() - 1)
     width = 1 << L
     lanes = (1 << width) - 1
-    proj = _projections(L)
-    run = _lane_evaluator(prog, n, lanes)
+    low = _projections(L)[::-1]
+    high = range(B - 1, L - 1, -1)
+    run = prog.schedules.get((n, L))
+    if run is None:
+        run = prog.schedules[n, L] = _schedule(prog, n, lanes)
     base = start - start % width
     while base < stop:
         # the block's index bits in layout order, position j at bit B-1-j
-        bits = [proj[b] if b < L else lanes * ((base >> b) & 1)
-                for b in range(B - 1, -1, -1)]
-        root_val = run(tuple(bits[:nr]),
-                       [tuple(bits[i:i + n]) for i in range(nr, B, n)])
+        bits = [lanes if (base >> b) & 1 else 0 for b in high] + low
+        root_val = run(bits[:nr], [bits[i:i + n] for i in range(nr, B, n)])
         bad = 0
         for x in root_val:
             bad |= lanes ^ x

@@ -13,6 +13,7 @@ would record, and the output is a DAG.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .formula import (And, Atom, D, Dhat, Eee, Formula, Not, See, Sse,
                       agents_of, c_greater, desugar, dhat_core, ndc)
@@ -118,15 +119,16 @@ def _tau(f: Formula, roster, steps: list, memo: _Memo) -> Formula:
     got = memo.done.get(key)
     if got is not None:
         # a repeat: the same steps again, each of their calls re-checked
+        # (read in place: a copy of the slice, up to about 1e4 steps, costs
+        # an allocation that the heap may trim and fault in again)
         result, first, end = got
-        replay = steps[first:end]
-        for step in replay:
+        for step in islice(steps, first, end):
             for g in step.calls:
                 if not c_greater(step.formula, g):
                     raise KripkitError("measure-violation",
                                        f"no (ndc, nsc) decrease from "
                                        f"{step.formula} to {g}")
-        steps += replay
+        steps.extend(islice(steps, first, end))
         return result
     entry = len(steps)
     steps.append(None)

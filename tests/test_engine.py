@@ -12,6 +12,7 @@ from kripkit.semantics import truth_mask
 from kripkit.validity import decode_model, model_bits
 
 import gen
+import oracle_eval as O
 
 AGENTS = ("a", "b")
 ATOMS = ("p", "q")
@@ -251,6 +252,84 @@ def test_hand_built_bad_programs_error(scan):
     with pytest.raises(KripkitError) as e:
         run(bad2)
     assert e.value.code == "unknown-schema"
+
+
+def test_hand_built_bad_programs_on_an_empty_range():
+    # an empty range returns before the schedule is built
+    for kinds, a1 in (((K_ATOM, K_D), (0, 0)), ((99,), (0,))):
+        m = len(kinds)
+        bad = Program(kinds=kinds, a1=a1, a2=(0,) * m, a3=(0,) * m,
+                      root=m - 1, agents=AGENTS, atoms=ATOMS)
+        for n in (1, 2):
+            assert run_range(bad, n, 0, 0) == (-1, -1, 0)
+            assert run_range(bad, n, 5, 5) == (-1, -1, 0)
+
+
+def _oracle_scan(phi, n, agents, atoms, start, stop):
+    """run_range as tests/oracle_eval.py sees it."""
+    for idx in range(start, stop):
+        M = O.to_dict(decode_model(idx, n, agents, atoms))
+        for u, w in enumerate(M["W"]):
+            if not O.sat(M, w, phi):
+                return idx, u, idx - start + 1
+    return -1, -1, stop - start
+
+
+@pytest.mark.parametrize("wrap", ["eee-eee", "see-see", "sse-still"])
+def test_frames_equal_by_value_in_separate_registers(wrap):
+    # [eee][eee], [see S][see S], [see S][see {}] and an sse whose topic
+    # never crosses build a frame equal to the one below it, in a register
+    # of its own
+    rng = random.Random(71)
+    agents, atoms = AGENTS, ("p",)
+    p = Atom("p")
+    for trial in range(6):
+        phi = Iff(gen.random_formula(rng, 2, atoms, agents),
+                  K(agents[trial % 2], p))
+        group = _group(rng, agents)
+        if wrap == "eee-eee":
+            phi = And(Eee(phi), Eee(Eee(phi)))
+        elif wrap == "see-see":
+            # see with the empty group keeps the frame it is given
+            phi = And(See(group, See(group, phi)),
+                      See(group, See(frozenset(), phi)))
+        else:
+            still = Or(p, Not(p)) if trial % 2 else K("a", Or(p, Not(p)))
+            phi = And(phi, Sse(group, still, phi))
+        if trial % 2:
+            phi = Or(phi, Not(phi))
+        prog = compile_program(phi, agents, atoms)
+        for n in (1, 2):
+            top = 1 << model_bits(n, len(agents), len(atoms))
+            for a, b in ((0, top), (rng.randrange(top), top)):
+                assert run_range(prog, n, a, b) == \
+                    _oracle_scan(phi, n, agents, atoms, a, b), (phi, n, a, b)
+
+
+def test_one_program_at_several_sizes_and_widths(monkeypatch):
+    # schedules are kept per (worlds, lane bits) on the program; scans at
+    # other sizes and widths in between must not disturb one another
+    rng = random.Random(72)
+    for trial in range(6):
+        chi = gen.random_formula(rng, 2, ATOMS, AGENTS)
+        phi = Sse(_group(rng, AGENTS), chi,
+                  And(gen.random_formula(rng, 3, ATOMS, AGENTS),
+                      Eee(K("b", chi))))
+        if trial % 2:
+            phi = Or(phi, Not(phi))
+        prog = compile_program(phi, AGENTS, ATOMS)
+        for lane_bits in (engine.LANE_BITS, 0, 3, 1, engine.LANE_BITS):
+            monkeypatch.setattr(engine, "LANE_BITS", lane_bits)
+            for n in (2, 1, 3, 2):
+                fresh = compile_program(phi, AGENTS, ATOMS)
+                top = 1 << model_bits(n, len(AGENTS), len(ATOMS))
+                for _ in range(3):
+                    a = rng.randrange(top)
+                    b = min(top, a + rng.randint(0, 300))
+                    assert run_range(prog, n, a, b) == \
+                        run_range(fresh, n, a, b), (phi, lane_bits, n, a, b)
+                    assert run_one(prog, n, a) == run_one(fresh, n, a)
+        assert {n for n, _ in prog.schedules} == {1, 2, 3}
 
 
 def test_programs_of_equivalence_checks_are_pinned():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -164,6 +165,33 @@ def test_sampled_mode_deterministic():
     b3 = SearchBounds(3, ("a", "b"), ("p",), sample=200)
     b4 = SearchBounds(3, ("a", "b"), ("p",), sample=200, seed=0)
     assert check_validity(phi, b3) == check_validity(phi, b4)
+
+
+def test_verdict_digest_is_pinned():
+    # (valid, checked, index, world) of 320 random formulas over 1-3 agents
+    # and 1-2 atoms, a quarter made valid, each checked exhaustively up to 2
+    # worlds and sampled (150 draws up to 3 worlds); sha256 taken on the
+    # kernel that memoised node results per (node, frame) within a block
+    def key(v):
+        world = None if v.countermodel is None else v.countermodel.world
+        return v.valid, v.checked, v.index, world
+
+    rng = random.Random(8)
+    h, valid = hashlib.sha256(), 0
+    for i in range(320):
+        agents = ("a", "b", "c")[:rng.randint(1, 3)]
+        atoms = ("p", "q")[:rng.randint(1, 2)]
+        phi = gen.random_formula(rng, rng.randint(1, 3), atoms, agents)
+        if rng.random() < 0.25:
+            phi = Or(phi, Not(phi))
+        full = check_validity(phi, SearchBounds(2, agents, atoms))
+        drawn = check_validity(phi, SearchBounds(3, agents, atoms,
+                                                 sample=150, seed=i))
+        valid += full.valid
+        h.update(repr((key(full), key(drawn))).encode())
+    assert valid == 98
+    assert h.hexdigest() == \
+        "4c12724bf3af02ed5b2ece50acd1865325621d34ababd4c9c0171ced6bf24722"
 
 
 def test_check_equivalence_is_iff_validity():
