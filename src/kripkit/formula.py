@@ -16,6 +16,9 @@ from .kripke_core import KripkitError
 
 @dataclass(frozen=True)
 class Formula:
+    # the cached (ndc, nsc) pair, set per node by _measures; not a field
+    _measures_ = None
+
     def __str__(self):
         return print_formula(self)
 
@@ -246,14 +249,15 @@ def _desugar(phi: Formula, memo: dict) -> Formula:
 # shared through _PAIRS (one entry per distinct pair, a few hundred over
 # hundreds of stacked-update translations), so the cache adds no tuple per
 # node. Construction, equality and hashing are untouched: the attribute is
-# not a dataclass field.
+# not a dataclass field. Formula declares it as None, so reading an unset
+# pair is a plain attribute read that does not raise.
 _MEASURES = "_measures_"
 _PAIRS: dict = {}
 
 
 def _measures(phi: Formula) -> tuple:
     """(ndc, nsc) of phi, cached on each node."""
-    got = getattr(phi, _MEASURES, None)
+    got = phi._measures_
     if got is not None:
         return got
     if isinstance(phi, Atom):
@@ -304,11 +308,10 @@ def complexity(phi: Formula) -> Complexity:
 
 def c_greater(phi1: Formula, phi2: Formula) -> bool:
     """Lexicographic (ndc, nsc) strict order."""
-    try:
-        # the cached pairs (_MEASURES), read without a call
-        return phi1._measures_ > phi2._measures_
-    except AttributeError:
+    a, b = phi1._measures_, phi2._measures_
+    if a is None or b is None:
         return _measures(phi1) > _measures(phi2)
+    return a > b
 
 
 # -- concrete syntax --

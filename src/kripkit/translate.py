@@ -13,7 +13,6 @@ would record, and the output is a DAG.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .formula import (And, Atom, D, Dhat, Eee, Formula, Not, See, Sse,
                       agents_of, c_greater, desugar, dhat_core, ndc)
@@ -122,13 +121,13 @@ def _tau(f: Formula, roster, steps: list, memo: _Memo) -> Formula:
         # (read in place: a copy of the slice, up to about 1e4 steps, costs
         # an allocation that the heap may trim and fault in again)
         result, first, end = got
-        for step in islice(steps, first, end):
+        for step in map(steps.__getitem__, range(first, end)):
             for g in step.calls:
                 if not c_greater(step.formula, g):
                     raise KripkitError("measure-violation",
                                        f"no (ndc, nsc) decrease from "
                                        f"{step.formula} to {g}")
-        steps.extend(islice(steps, first, end))
+        steps.extend(map(steps.__getitem__, range(first, end)))
         return result
     entry = len(steps)
     steps.append(None)
