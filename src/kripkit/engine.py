@@ -6,6 +6,7 @@ A program is a DAG of nodes over parallel arrays. Kinds:
   K_AND  and(a1, a2)              K_D   D(a1=agent mask, a2=child)
   K_EEE  eee(a1=child)            K_SEE see(a1=sender mask, a2=child)
   K_SSE  sse(a1=sender mask, a2=topic, a3=body)
+  K_TOP  top (all-ones on every world)
 
 Models of one shape (n worlds, nag agents, nat atoms) are identified with
 indices of model_bits(n, nag, nat) bits. Layout, most significant bit first:
@@ -52,10 +53,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import and_
 
-from .formula import And, Atom, D, Eee, Formula, Not, See, Sse, desugar
+from .formula import (And, Atom, D, Eee, Formula, Not, See, Sse, Top,
+                      desugar)
 from .kripke_core import KripkitError
 
-K_ATOM, K_NOT, K_AND, K_D, K_EEE, K_SEE, K_SSE = range(7)
+K_ATOM, K_NOT, K_AND, K_D, K_EEE, K_SEE, K_SSE, K_TOP = range(8)
 
 # A block holds at most 2**LANE_BITS models, and no more than the
 # valuation bits span (L <= n*nat), so its relation bits are all-ones or
@@ -146,6 +148,8 @@ def compile_program(phi: Formula, agents, atoms) -> Program:
             out = emit(K_SEE, gmask(f.group), go(f.sub))
         elif isinstance(f, Sse):
             out = emit(K_SSE, gmask(f.group), go(f.topic), go(f.sub))
+        elif isinstance(f, Top):
+            out = emit(K_TOP)
         else:
             raise TypeError(type(f))
         done[id(f)] = out
@@ -212,11 +216,12 @@ def _schedule(prog, n, lanes):
     nag, nat = len(prog.agents), len(prog.atoms)
     nn = n * n
     pairs = [(u, v) for u in range(n) for v in range(n)]
-    # register 0 holds the block's frame, 1..nat its atom values and the
-    # next one R_G for the empty group; every later one is written by its
-    # step, (register, fn) with reg[register] = fn(reg), in schedule order
+    # register 0 holds the block's frame, 1..nat its atom values, the next
+    # one R_G for the empty group and the one after it top; every later one
+    # is written by its step, (register, fn) with reg[register] = fn(reg),
+    # in schedule order
     ones = 1 + nat
-    init = [None] * ones + [[lanes] * nn]
+    init = [None] * ones + [[lanes] * nn, [lanes] * n]
     steps = []
     # (node, frame register), or a meet or frame key -> register
     regs = {}
@@ -315,6 +320,8 @@ def _schedule(prog, n, lanes):
                         "subtractive and intersection forms disagree")
                 return sub_form
             return node(a3[i], once(("sse", s, t, f), fn))
+        if k == K_TOP:
+            return ones + 1
         raise KripkitError("unknown-schema", f"bad node kind {k}")
 
     root = node(prog.root, 0)

@@ -1,7 +1,7 @@
 """Formula AST, concrete syntax, derived connectives, complexity measures.
 
-Core constructors: Atom, Not, And, D, Eee, See, Sse. Everything else
-(Top, Bot, Or, Implies, Iff, K, Dhat) desugars into the core. The measures
+Core constructors: Atom, Top, Not, And, D, Eee, See, Sse. Everything else
+(Bot, Or, Implies, Iff, K, Dhat) desugars into the core. The measures
 nsc/ndc treat Or/Implies/Iff as primitive binaries and Dhat as a primitive
 so that the reduction bookkeeping stays strictly decreasing.
 """
@@ -130,17 +130,9 @@ class Complexity:
     ndc: int
 
 
-# witness atom for the desugared `false`; p & ~p is unsatisfiable whatever
-# the model assigns to p
-_WITNESS = Atom("p")
-
-
 def symbols_of(phi: Formula) -> tuple:
     """(atom names, agent names) mentioned, in one walk over the formula
-    that visits each node object once.
-
-    Atoms are collected before desugaring, so the Bot witness is not counted.
-    """
+    that visits each node object once."""
     atoms, agents = set(), set()
     seen = set()
     todo = [phi]
@@ -171,7 +163,7 @@ def symbols_of(phi: Formula) -> tuple:
 
 
 def atoms_of(phi: Formula) -> frozenset:
-    """Atom names mentioned (before desugaring; the Bot witness not counted)."""
+    """Atom names mentioned."""
     return symbols_of(phi)[0]
 
 
@@ -191,7 +183,8 @@ def dhat_core(group, chi: Formula, psi: Formula) -> Formula:
 
 
 def desugar(phi: Formula) -> Formula:
-    """Rewrite to the core constructors {Atom, Not, And, D, Eee, See, Sse}.
+    """Rewrite to the core constructors {Atom, Top, Not, And, D, Eee, See,
+    Sse}.
 
     Each node object is rewritten once per call, so a shared input gives a
     shared output.
@@ -207,11 +200,7 @@ def _desugar(phi: Formula, memo: dict) -> Formula:
     got = memo.get(id(phi))
     if got is not None:
         return got
-    if isinstance(phi, Bot):
-        out = And(_WITNESS, Not(_WITNESS))
-    elif isinstance(phi, Top):
-        out = Not(And(_WITNESS, Not(_WITNESS)))
-    elif isinstance(phi, Not):
+    if isinstance(phi, Not):
         out = Not(_desugar(phi.sub, memo))
     elif isinstance(phi, And):
         out = And(_desugar(phi.left, memo), _desugar(phi.right, memo))
@@ -237,6 +226,10 @@ def _desugar(phi: Formula, memo: dict) -> Formula:
     elif isinstance(phi, Dhat):
         out = dhat_core(phi.group, _desugar(phi.topic, memo),
                         _desugar(phi.sub, memo))
+    elif isinstance(phi, Top):
+        return phi
+    elif isinstance(phi, Bot):
+        out = Not(Top())
     else:
         raise TypeError(type(phi))
     memo[id(phi)] = out
@@ -260,12 +253,10 @@ def _measures(phi: Formula) -> tuple:
     got = phi._measures_
     if got is not None:
         return got
-    if isinstance(phi, Atom):
+    if isinstance(phi, (Atom, Top)):
         pair = (0, 1)
     elif isinstance(phi, Bot):
-        pair = (0, 3)  # measures its desugared form p & ~p
-    elif isinstance(phi, Top):
-        pair = (0, 4)
+        pair = (0, 2)  # measures its desugared form ~Top
     elif isinstance(phi, (Not, K, D)):
         d, s = _measures(phi.sub)
         pair = (d, 1 + s)

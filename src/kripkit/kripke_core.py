@@ -20,10 +20,6 @@ class KripkitError(ValueError):
         super().__init__(f"{code}: {message}" if message else code)
 
 
-def _err(code: str, message: str = "") -> "KripkitError":
-    return KripkitError(code, message)
-
-
 @dataclass(frozen=True)
 class Model:
     """Immutable model: world name table, agent/atom rosters, bitset rows.
@@ -47,23 +43,23 @@ class Model:
         if isinstance(name, int):
             if 0 <= name < self.n:
                 return name
-            raise _err("dangling-world", f"index {name}")
+            raise KripkitError("dangling-world", f"index {name}")
         try:
             return self.worlds.index(name)
         except ValueError:
-            raise _err("dangling-world", str(name)) from None
+            raise KripkitError("dangling-world", str(name)) from None
 
     def agent_index(self, agent: str) -> int:
         try:
             return self.agents.index(agent)
         except ValueError:
-            raise _err("unknown-agent", agent) from None
+            raise KripkitError("unknown-agent", agent) from None
 
     def atom_index(self, atom: str) -> int:
         try:
             return self.atoms.index(atom)
         except ValueError:
-            raise _err("unknown-atom", atom) from None
+            raise KripkitError("unknown-atom", atom) from None
 
     # -- relation access --
     def row(self, agent_idx: int, w: int) -> int:
@@ -89,7 +85,7 @@ class Model:
         """Same worlds/valuation, fresh relations."""
         rows = tuple(rows)
         if len(rows) != len(self.agents) * self.n:
-            raise _err("row-count-mismatch",
+            raise KripkitError("row-count-mismatch",
                        f"{len(rows)} rows for {len(self.agents)} agents "
                        f"x {self.n} worlds")
         return Model(self.worlds, self.agents, self.atoms, rows, self.vals)
@@ -108,19 +104,19 @@ class Model:
         def wi(x):
             if isinstance(x, int):
                 if not 0 <= x < n:
-                    raise _err("dangling-world", f"index {x}")
+                    raise KripkitError("dangling-world", f"index {x}")
                 return x
             if x not in widx:
-                raise _err("dangling-world", str(x))
+                raise KripkitError("dangling-world", str(x))
             return widx[x]
 
         for ag in relations:
             if ag not in agents:
-                raise _err("unknown-agent", str(ag))
+                raise KripkitError("unknown-agent", str(ag))
         rows = [0] * (len(agents) * n)
         for a, ag in enumerate(agents):
             if ag not in relations:
-                raise _err("missing-agent-relation", ag)
+                raise KripkitError("missing-agent-relation", ag)
             for (u, v) in relations[ag]:
                 rows[a * n + wi(u)] |= 1 << wi(v)
         vals = [0] * len(atoms)
@@ -129,7 +125,7 @@ class Model:
                 vals[t] |= 1 << wi(w)
         for at in valuation:
             if at not in atoms:
-                raise _err("unknown-atom", str(at))
+                raise KripkitError("unknown-atom", str(at))
         m = Model(worlds, agents, atoms, tuple(rows), tuple(vals))
         if validate:
             validate_model(m)
@@ -143,7 +139,7 @@ class PointedModel:
 
     def __post_init__(self):
         if not 0 <= self.world < self.model.n:
-            raise _err("dangling-world", f"point {self.world}")
+            raise KripkitError("dangling-world", f"point {self.world}")
 
 
 def _bits(mask: int):
@@ -170,27 +166,27 @@ def validate_model(model: Model) -> None:
     """Raise on any structural invariant violation."""
     n = model.n
     if n == 0:
-        raise _err("dangling-world", "empty world set")
+        raise KripkitError("dangling-world", "empty world set")
     if len(set(model.worlds)) != n:
-        raise _err("dangling-world", "duplicate world names")
+        raise KripkitError("dangling-world", "duplicate world names")
     if len(model.rows) != len(model.agents) * n:
-        raise _err("missing-agent-relation",
+        raise KripkitError("missing-agent-relation",
                    f"{len(model.rows)} rows for {len(model.agents)} agents")
     full = (1 << n) - 1
     for i, row in enumerate(model.rows):
         if row & ~full:
-            raise _err("dangling-world", f"row {i} points outside W")
+            raise KripkitError("dangling-world", f"row {i} points outside W")
     if len(model.vals) != len(model.atoms):
-        raise _err("unknown-atom", "valuation arity mismatch")
+        raise KripkitError("unknown-atom", "valuation arity mismatch")
     for t, v in enumerate(model.vals):
         if v & ~full:
-            raise _err("dangling-world", f"valuation of {model.atoms[t]}")
+            raise KripkitError("dangling-world", f"valuation of {model.atoms[t]}")
 
 
 def distributed_rows(model: Model, gmask: int) -> tuple:
     """Successor rows of R_{D,G} for the agent bitmask gmask (nonempty)."""
     if gmask == 0:
-        raise _err("empty-group")
+        raise KripkitError("empty-group")
     n = model.n
     out = None
     a = 0
@@ -214,7 +210,7 @@ def group_mask(model: Model, G) -> int:
 def distributed_relation(model: Model, G) -> Relation:
     """R_{D,G}: intersection of the relations of the agents in G."""
     if not G:
-        raise _err("empty-group")
+        raise KripkitError("empty-group")
     return rows_to_pairs(distributed_rows(model, group_mask(model, G)))
 
 
@@ -260,7 +256,7 @@ def parse_model(text: str):
         if not line:
             continue
         if ":" not in line:
-            raise _err("syntax-error", f"line {lineno}: missing ':'")
+            raise KripkitError("syntax-error", f"line {lineno}: missing ':'")
         head, _, rest = line.partition(":")
         head = head.strip()
         toks = rest.split()
@@ -275,19 +271,21 @@ def parse_model(text: str):
             pairs = rels.setdefault(ag, [])
             for tk in toks:
                 if "-" not in tk:
-                    raise _err("syntax-error", f"line {lineno}: pair '{tk}'")
+                    raise KripkitError("syntax-error", f"line {lineno}: pair '{tk}'")
                 u, _, v = tk.partition("-")
                 pairs.append((u, v))
         elif head.startswith("val "):
             vals[head[4:].strip()] = toks
         elif head == "point":
             if len(toks) != 1:
-                raise _err("syntax-error", f"line {lineno}: point wants one world")
+                raise KripkitError("syntax-error",
+                                   f"line {lineno}: point wants one world")
             point = toks[0]
         else:
-            raise _err("syntax-error", f"line {lineno}: unknown key '{head}'")
+            raise KripkitError("syntax-error",
+                               f"line {lineno}: unknown key '{head}'")
     if worlds is None or agents is None or atoms is None:
-        raise _err("syntax-error", "missing worlds:/agents:/atoms: header")
+        raise KripkitError("syntax-error", "missing worlds:/agents:/atoms: header")
     m = Model.build(worlds, agents, atoms, rels, vals)
     return m, (m.world_index(point) if point is not None else None)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import (And, Atom, D, Dhat, Eee, Formula, Not, See, Sse,
+from .formula import (And, Atom, D, Dhat, Eee, Formula, Not, See, Sse, Top,
                       agents_of, c_greater, desugar, dhat_core, ndc)
 from .kripke_core import KripkitError
 
@@ -147,7 +147,7 @@ def _tau(f: Formula, roster, steps: list, memo: _Memo) -> Formula:
 
 
 def _step(f: Formula, roster, call):
-    if isinstance(f, Atom):
+    if isinstance(f, (Atom, Top)):
         return f, "atom"
     if isinstance(f, Not):
         return Not(call(f.sub)), "not"
@@ -161,7 +161,7 @@ def _step(f: Formula, roster, call):
         return dhat_core(f.group, call(f.topic), call(f.sub)), "dhat"
     if isinstance(f, (Eee, See, Sse)):
         inner = f.sub
-        if isinstance(inner, Atom):
+        if isinstance(inner, (Atom, Top)):
             return call(inner), "dyn-atom"
         if isinstance(inner, Not):
             return call(Not(_rewrap(f, inner.sub))), "dyn-not"

@@ -84,14 +84,16 @@ def _reverified(phi: Formula, model: Model, w: int) -> PointedModel:
 def check_validity(phi: Formula, bounds: SearchBounds) -> Verdict:
     prog = compile_program(phi, bounds.agents, bounds.atoms)
     nag, nat = len(bounds.agents), len(bounds.atoms)
+    top = model_bits(bounds.max_worlds, nag, nat)
+    cap, mode = ((EXHAUSTIVE_BIT_CAP, "exhaustive") if bounds.sample is None
+                 else (SAMPLE_BIT_CAP, "sampling"))
+    if top > cap:
+        raise KripkitError(
+            "bounds-too-large",
+            f"{top} index bits at {bounds.max_worlds} worlds exceeds "
+            f"the {mode} cap of {cap}")
 
     if bounds.sample is None:
-        top = model_bits(bounds.max_worlds, nag, nat)
-        if top > EXHAUSTIVE_BIT_CAP:
-            raise KripkitError(
-                "bounds-too-large",
-                f"{top} index bits at {bounds.max_worlds} worlds exceeds "
-                f"the exhaustive cap of {EXHAUSTIVE_BIT_CAP}")
         checked = 0
         for n in range(1, bounds.max_worlds + 1):
             B = model_bits(n, nag, nat)
@@ -102,12 +104,6 @@ def check_validity(phi: Formula, bounds: SearchBounds) -> Verdict:
                 return Verdict(False, checked, _reverified(phi, model, w), idx)
         return Verdict(True, checked)
 
-    top = model_bits(bounds.max_worlds, nag, nat)
-    if top > SAMPLE_BIT_CAP:
-        raise KripkitError(
-            "bounds-too-large",
-            f"{top} index bits at {bounds.max_worlds} worlds exceeds "
-            f"the sampling cap of {SAMPLE_BIT_CAP}")
     rng = random.Random(0 if bounds.seed is None else bounds.seed)
     for draw in range(bounds.sample):
         n = rng.randint(1, bounds.max_worlds)

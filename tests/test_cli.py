@@ -106,6 +106,13 @@ def test_validity_valid():
     assert "checked 68 models" in res.output
 
 
+def test_validity_constants_need_no_atoms():
+    res = run("validity", "--formula", "K_a true", "--max-worlds", "2",
+              "--agents", "a", "--atoms", "")
+    assert res.exit_code == 0
+    assert "checked 18 models" in res.output
+
+
 def test_validity_countermodel():
     res = run("validity", "--formula", "p -> K_a p",
               "--max-worlds", "2", "--agents", "a", "--atoms", "p")

@@ -8,11 +8,17 @@ import sys
 
 import pytest
 
-from kripkit import (And, Atom, D, Dhat, Eee, Formula, Iff, K, KripkitError,
-                     Not, See, Sse, agents_of, c_greater, desugar, ndc, parse,
-                     print_formula, translate, translate_traced, truth_set)
+from kripkit import (And, Atom, Bot, D, Dhat, Eee, Formula, Iff, K,
+                     KripkitError, Model, Not, SearchBounds, See, Sse, Top,
+                     agents_of, atoms_of, c_greater, check_equivalence,
+                     desugar, ndc, parse, print_formula, satisfies, translate,
+                     translate_traced, truth_set)
+from kripkit.engine import compile_program, run_one
+from kripkit.semantics import truth_mask
+from kripkit.validity import model_index
 
 import gen
+import oracle_eval as O
 
 
 def test_frozen_examples():
@@ -95,6 +101,48 @@ def test_eee_over_atom_needs_no_roster():
     # atoms are insensitive to relation changes, so no roster is consulted
     assert translate(Eee(Atom("p"))) == Atom("p")
     assert translate(Eee(Atom("p")), agents=("a",)) == Atom("p")
+
+
+def test_constants_translate_without_an_atom():
+    m = Model.build(("w",), ("a",), ("q",), {"a": set()}, {"q": set()})
+    phi = parse("[eee] false -> q")
+    assert satisfies(m, "w", phi) and satisfies(m, "w", translate(phi))
+    out, trace = translate_traced(parse("[eee] true"))
+    assert out == Top() and [s.clause for s in trace] == ["dyn-atom", "atom"]
+    _, trace = translate_traced(parse("[sse a | false] K_a false"))
+    assert len(trace) == 14
+
+
+def _with_constants(rng, f):
+    """f with about half of its atom leaves replaced by Top() or Bot()."""
+    if isinstance(f, Atom):
+        return rng.choice((f, f, Top(), Bot()))
+    return type(f)(*(_with_constants(rng, v) if isinstance(v, Formula) else v
+                     for v in (getattr(f, k.name)
+                               for k in dataclasses.fields(f))))
+
+
+def test_constants_translate_and_check_like_the_semantics():
+    rng, swap = random.Random(49), random.Random(50)
+    agents, atoms = ("a", "b"), ("q",)
+    bounds = SearchBounds(2, agents, atoms)
+    for _ in range(100):
+        phi = _with_constants(swap, gen.random_formula(
+            rng, rng.randint(0, 3), atoms, agents))
+        out = translate(phi, agents=agents)
+        assert ndc(out) == 0 and atoms_of(out) <= set(atoms), phi
+        prog = compile_program(phi, agents, atoms)
+        for _ in range(3):
+            m = gen.random_model(rng, 3, agents, atoms)
+            mask = truth_mask(m, phi)
+            assert truth_mask(m, out) == mask, phi
+            fails = ~mask & ((1 << m.n) - 1)
+            assert run_one(prog, m.n, model_index(m)) == \
+                (fails & -fails).bit_length() - 1, phi
+            M = O.to_dict(m)
+            assert O.truth_set(M, phi) == O.truth_set(M, out) == \
+                truth_set(m, phi), phi
+        assert check_equivalence(phi, out, bounds).valid, phi
 
 
 def test_unknown_agent_when_roster_too_small():

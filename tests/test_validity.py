@@ -7,11 +7,12 @@ from kripkit import (And, Atom, D, Iff, Implies, K, KripkitError, Not, Or,
                      SCHEMAS, SearchBounds, axiom_instances, check_equivalence,
                      check_validity, decode_model, enumerate_models,
                      formula_pool, model_index, satisfies)
-from kripkit import validity
+from kripkit import parse, validity
 from kripkit.formula import Eee, See, Sse, ndc
-from kripkit.validity import model_bits
+from kripkit.validity import EXHAUSTIVE_BIT_CAP, model_bits
 
 import gen
+import oracle_eval as O
 
 
 def test_decode_table_one_world():
@@ -139,6 +140,33 @@ def test_countermodel_found_and_reverified():
     assert pm.world == 1
     assert pm.model.relation("a") == frozenset({(1, 0)})
     assert pm.model.valuation["p"] == frozenset({"w1"})
+
+
+def test_constants_need_no_atom_in_the_roster():
+    v = check_validity(parse("true"), SearchBounds(1, ("a",), ("q",)))
+    assert v.valid and v.checked == 4
+    v = check_validity(parse("K_a true"), SearchBounds(2, ("a",), ()))
+    assert v.valid and v.checked == 18
+    v = check_validity(parse("false"), SearchBounds(1, ("a",), ()))
+    assert not v.valid and (v.index, v.checked) == (0, 1)
+
+
+def test_first_countermodel_at_three_worlds_at_the_exhaustive_cap():
+    # three worlds that b tells apart from none of pq, p~q and ~pq: no
+    # model of fewer than three worlds has them
+    phi = parse("~(~K_b ~(p & q) & ~K_b ~(p & ~q) & ~K_b ~(~p & q))")
+    agents, atoms = ("a", "b"), ("p", "q")
+    assert model_bits(3, 2, 2) == EXHAUSTIVE_BIT_CAP
+    v = check_validity(phi, SearchBounds(2, agents, atoms))
+    assert v.valid and v.checked == 4112
+    v = check_validity(phi, SearchBounds(3, agents, atoms))
+    assert not v.valid
+    cm = v.countermodel
+    assert (v.index, cm.world, v.checked) == (477, 2, 4590)
+    assert cm.model == decode_model(477, 3, agents, atoms)
+    assert not satisfies(cm.model, cm.world, phi)
+    M = O.to_dict(cm.model)
+    assert not O.sat(M, M["W"][cm.world], phi)
 
 
 def test_first_countermodel_is_smallest():
