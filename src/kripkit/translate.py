@@ -106,8 +106,8 @@ class _Memo:
         elif t is Sse or t is Dhat:
             key = (t, f.group, id(self.canonical(f.topic)),
                    id(self.canonical(f.sub)))
-        else:
-            key = (t, id(f))
+        else:  # Top, the one constant of the core
+            key = (t,)
         c = self.table.setdefault(key, f)
         self.seen[id(f)] = (f, c)
         return c

@@ -6,6 +6,17 @@ Exhaustive mode walks sizes 1..max_worlds in index order, so the first
 countermodel found is minimal in (size, index, world). Every countermodel
 reported by the engine is re-checked against the reference semantics before
 it is returned, and one it rejects raises countermodel-rejected.
+
+Exhaustive mode compiles over the full roster, so unknown names, duplicate
+entries and the bit cap are decided on it, and then scans the program
+restricted to the agents and atoms it reads (engine.restrict_program). A
+formula's truth does not depend on the rest, and emptying their relation
+rows and valuations only clears index bits; so the first failing model of
+the full space has them empty and is the lift of the restricted scan's
+first failure (engine.lift_index), at the same world. The verdict is the
+one a scan of the full space would give: checked counts the models of the
+full space that the index order covers up to the first failure (all 2**B
+of a size with none), not the models the kernel evaluated.
 """
 from __future__ import annotations
 
@@ -15,7 +26,8 @@ from itertools import islice
 from typing import Optional
 
 from .engine import (check_distinct, compile_program, decode_index,
-                     model_bits, model_index, run_one, run_range)
+                     lift_index, model_bits, model_index, restrict_program,
+                     run_one, run_range)
 from .formula import (And, Atom, D, Dhat, Eee, Formula, Iff, Implies, K, Not,
                       Or, See, Sse)
 from .kripke_core import KripkitError, Model, PointedModel
@@ -94,14 +106,17 @@ def check_validity(phi: Formula, bounds: SearchBounds) -> Verdict:
             f"the {mode} cap of {cap}")
 
     if bounds.sample is None:
+        part = restrict_program(prog)
         checked = 0
         for n in range(1, bounds.max_worlds + 1):
-            B = model_bits(n, nag, nat)
-            idx, w, cnt = run_range(prog, n, 0, 1 << B)
-            checked += cnt
+            B = model_bits(n, len(part.agents), len(part.atoms))
+            idx, w, _ = run_range(part, n, 0, 1 << B)
             if idx >= 0:
+                idx = lift_index(idx, n, part, prog)
                 model = decode_model(idx, n, bounds.agents, bounds.atoms)
-                return Verdict(False, checked, _reverified(phi, model, w), idx)
+                return Verdict(False, checked + idx + 1,
+                               _reverified(phi, model, w), idx)
+            checked += 1 << model_bits(n, nag, nat)
         return Verdict(True, checked)
 
     rng = random.Random(0 if bounds.seed is None else bounds.seed)

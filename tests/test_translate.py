@@ -314,17 +314,40 @@ def test_trace_matches_plain_recursion_step_for_step():
         assert translate(phi, agents=agents) == out
 
 
-def test_translation_output_is_shared():
-    out, trace = translate_traced(parse(README_EXAMPLE), agents=("a", "b"))
-    objects, todo = {}, [out]
+def _objects(f):
+    """The distinct node objects of f."""
+    objects, todo = {}, [f]
     while todo:
         f = todo.pop()
         if id(f) not in objects:
             objects[id(f)] = f
             todo += [v for v in vars(f).values() if isinstance(v, Formula)]
-    assert len(objects) == 451
+    return list(objects.values())
+
+
+def test_translation_output_is_shared():
+    out, trace = translate_traced(parse(README_EXAMPLE), agents=("a", "b"))
+    assert len(_objects(out)) == 451
     assert len({id(s) for s in trace}) == 401
     assert len(print_formula(out)) == 31491
+
+
+def test_constants_are_shared_in_translation():
+    # each false desugars to ~Top with a Top of its own; equal constants are
+    # still translated once and shared, and the trace is unchanged
+    phi = parse("[sse a | false] K_a (false & false)")
+    out, trace = translate_traced(phi)
+    objects = _objects(out)
+    assert sum(isinstance(f, Top) for f in objects) == 1
+    assert len(objects) == 23
+    assert (len(trace), len({id(s) for s in trace})) == (26, 11)
+    want_out, want = _reference_traced(phi, ("a",))
+    num = _numbering()
+    assert num(out) == num(want_out)
+    assert [(s.clause, num(s.formula), [num(g) for g in s.calls],
+             num(s.result)) for s in trace] == \
+        [(clause, num(f), [num(g) for g in calls], num(result))
+         for f, clause, calls, result in want]
 
 
 def test_measure_check_runs_on_replayed_steps(monkeypatch):

@@ -7,8 +7,10 @@ from kripkit import (And, Atom, D, Iff, Implies, K, KripkitError, Not, Or,
                      SCHEMAS, SearchBounds, axiom_instances, check_equivalence,
                      check_validity, decode_model, enumerate_models,
                      formula_pool, model_index, satisfies)
-from kripkit import parse, validity
-from kripkit.formula import Eee, See, Sse, ndc
+from kripkit import Model, parse, validity
+from kripkit.engine import (compile_program, lift_index, restrict_program,
+                            run_range)
+from kripkit.formula import Eee, See, Sse, agents_of, ndc
 from kripkit.validity import EXHAUSTIVE_BIT_CAP, model_bits
 
 import gen
@@ -288,3 +290,131 @@ def test_inference_rules_preserve_validity():
     assert check_validity(Eee(theta), b).valid
     assert check_validity(See(frozenset("a"), theta), b).valid
     assert check_validity(Sse(frozenset("a"), q, theta), b).valid
+
+
+# -- the exhaustive scan over the agents and atoms a formula reads --
+
+
+def _key(v):
+    return (v.valid, v.index,
+            None if v.countermodel is None else v.countermodel.world,
+            v.checked)
+
+
+def _full_scan(phi, bounds):
+    """The exhaustive loop over the whole roster's space, size by size."""
+    prog = compile_program(phi, bounds.agents, bounds.atoms)
+    checked = 0
+    for n in range(1, bounds.max_worlds + 1):
+        B = model_bits(n, len(bounds.agents), len(bounds.atoms))
+        idx, w, cnt = run_range(prog, n, 0, 1 << B)
+        checked += cnt
+        if idx >= 0:
+            return False, idx, w, checked
+    return True, None, None, checked
+
+
+def _assert_restricted_scan_is_full_scan(phi, bounds):
+    v = check_validity(phi, bounds)
+    assert _key(v) == _full_scan(phi, bounds), (phi, bounds)
+    if not v.valid:
+        cm = v.countermodel
+        M = O.to_dict(cm.model)
+        assert not O.sat(M, M["W"][cm.world], phi)
+        assert model_index(cm.model) == v.index
+    return v
+
+
+def test_restricted_scan_equals_full_scan():
+    # rosters with names the formula does not read, at 1-2 worlds
+    rng = random.Random(10)
+    valid = 0
+    for _ in range(150):
+        agents = tuple(rng.sample("abc", rng.randint(1, 3)))
+        atoms = tuple(rng.sample("pqr", rng.randint(1, 3)))
+        phi = gen.random_formula(
+            rng, rng.randint(1, 3),
+            tuple(rng.sample(atoms, rng.randint(1, len(atoms)))),
+            tuple(rng.sample(agents, rng.randint(1, len(agents)))))
+        if rng.random() < 0.3:
+            phi = Or(phi, Not(phi))
+        worlds = 2 if model_bits(2, len(agents), len(atoms)) <= 14 else 1
+        v = _assert_restricted_scan_is_full_scan(
+            phi, SearchBounds(worlds, agents, atoms))
+        valid += v.valid
+    assert 20 <= valid <= 130
+
+
+@pytest.mark.parametrize("text, agents, atoms, kept", [
+    ("p | ~p", ("a", "b"), ("p", "q"), ((), ("p",))),  # no agent read
+    ("K_a true", ("a", "b"), (), (("a",), ())),  # no atoms
+    ("p -> K_b p", ("a", "b"), ("p",), (("b",), ("p",))),
+    # [eee] reads every agent's relation
+    ("[eee] K_a p <-> D{a,b} [eee] p", ("a", "b"), ("p", "q"),
+     (("a", "b"), ("p",))),
+    ("[eee] p -> K_a q", ("a", "b", "c"), ("p", "q"),
+     (("a", "b", "c"), ("p", "q"))),
+    # empty groups read no agent
+    ("[see ] p", ("a", "b"), ("p", "q"), ((), ("p",))),
+    ("[see ] K_a q -> q", ("a", "b"), ("p", "q"), (("a",), ("q",))),
+    ("[sse | q] p <-> p", ("a", "b"), ("p", "q"), ((), ("p", "q"))),
+    ("[sse | r] K_b p", ("a", "b"), ("p", "q", "r"), (("b",), ("p", "r"))),
+])
+def test_restricted_scan_named_cases(text, agents, atoms, kept):
+    phi = parse(text)
+    part = restrict_program(compile_program(phi, agents, atoms))
+    assert (part.agents, part.atoms) == kept
+    _assert_restricted_scan_is_full_scan(phi, SearchBounds(2, agents, atoms))
+
+
+@pytest.mark.parametrize("text, atoms", [
+    ("K_c p", ("p",)), ("K_a s", ("p",)), ("[see c] p", ("p",)),
+    ("[sse a | s] p", ("p", "q")),
+])
+def test_names_outside_the_roster_are_refused_as_before(text, atoms):
+    phi, bounds = parse(text), SearchBounds(2, ("a", "b"), atoms)
+    with pytest.raises(KripkitError) as want:
+        _full_scan(phi, bounds)
+    with pytest.raises(KripkitError) as got:
+        check_validity(phi, bounds)
+    assert got.value.code == want.value.code
+    assert got.value.code in ("unknown-agent", "unknown-atom")
+
+
+def test_lift_is_the_full_model_with_the_rest_emptied():
+    rng = random.Random(11)
+    agents, atoms = ("a", "b", "c"), ("p", "q", "r")
+    for text in ("K_b r", "D{a,c} p & q", "[sse c | r] p", "K_c K_a q",
+                 "p -> q"):
+        whole = compile_program(parse(text), agents, atoms)
+        part = restrict_program(whole)
+        for n in (1, 2, 3):
+            space = 1 << model_bits(n, len(part.agents), len(part.atoms))
+            for idx in [0, space - 1] + [rng.randrange(space)
+                                         for _ in range(20)]:
+                m = decode_model(idx, n, part.agents, part.atoms)
+                full = Model.build(
+                    m.worlds, agents, atoms,
+                    {a: m.relation(a) if a in part.agents else ()
+                     for a in agents},
+                    {t: m.valuation[t] if t in part.atoms else ()
+                     for t in atoms})
+                assert lift_index(idx, n, part, whole) == model_index(full)
+
+
+def test_single_agent_schemas_at_the_exhaustive_cap():
+    # one instance of each schema that has a single-agent one, over agents
+    # a, b and atoms p, q: every size up to 3 worlds (24 index bits, the
+    # cap) is covered, 16 + 4,096 + 2**24 models; the eee schemas read both
+    # agents at any roster, so their 24-bit scans stay slow
+    agents, atoms = ("a", "b"), ("p", "q")
+    assert model_bits(3, 2, 2) == EXHAUSTIVE_BIT_CAP
+    schemas = [s for s in SCHEMAS if not s.startswith("eee-")]
+    assert len(schemas) == 11
+    for schema in schemas:
+        inst = next(f for f in axiom_instances(schema, agents=("a",))
+                    if agents_of(f) == {"a"})
+        part = restrict_program(compile_program(inst, agents, atoms))
+        assert part.agents == ("a",), schema
+        v = check_validity(inst, SearchBounds(3, agents, atoms))
+        assert v.valid and v.checked == 16781328, (schema, inst)
