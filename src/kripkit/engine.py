@@ -48,15 +48,17 @@ by a frame's value; frames equal by value but built along different paths
 sit in different registers. empty-group and unknown-schema are raised when
 the schedule is built, definition-mismatch when a step meets it.
 
-restrict_program drops the agents and atoms a program does not read, and
-lift_index maps an index of the smaller space back to the full roster with
-the dropped relation rows and valuations empty. Emptying them maps every
-model to one of no larger index (the dropped bits are only cleared) with
-the same truth values, since the root reads none of them. So a failing
-model's emptied form fails at the same worlds, the first failure of the
-full space has no dropped bit set, and, as lifting keeps the index order,
-it is the lift of the first failure of the smaller space. A scan of the
-smaller space covers 2**(bits kept) models where the full space has 2**B.
+restrict_program drops the agents a program does not read, and lift_index
+maps an index of the smaller space back to the full roster with the
+dropped relation rows empty. Emptying them maps every model to one of no
+larger index (the dropped bits are only cleared) with the same truth
+values, since the root reads none of them. So a failing model's emptied
+form fails at the same worlds, the first failure of the full space has no
+dropped bit set, and, as lifting keeps the index order, it is the lift of
+the first failure of the smaller space. A scan of the smaller space covers
+2**(bits kept) models where the full space has 2**B. Atoms are not
+dropped: valuation bits become lanes, so while n*nat <= LANE_BITS fewer
+atoms only narrow the lane vectors and never cut the number of blocks.
 """
 from __future__ import annotations
 
@@ -171,39 +173,33 @@ def compile_program(phi: Formula, agents, atoms) -> Program:
 
 
 def restrict_program(prog: Program) -> Program:
-    """prog over only the agents and atoms it reads, kept in roster order:
-    the agents of its D, see and sse masks (every agent once an eee node
-    occurs) and the atoms of its atom nodes, with masks and atom indices
-    renumbered. prog itself when it reads its whole roster.
+    """prog over only the agents it reads, kept in roster order: the agents
+    of its D, see and sse masks, with the masks renumbered; every atom stays.
+    prog itself when it reads every agent, as it does once an eee node
+    occurs.
 
-    The root's value on a model depends only on the relations and
-    valuations the program reads (the coincidence lemma of modal logic); the
-    module docstring says why a scan of the result finds the first failure
-    of prog's space."""
+    The root's value on a model depends only on the valuations and on the
+    relations of the agents the program reads (the coincidence lemma of
+    modal logic); the module docstring says why a scan of the result finds
+    the first failure of prog's space."""
     kinds, a1 = prog.kinds, prog.a1
     if K_EEE in kinds:
-        amask = (1 << len(prog.agents)) - 1
-    else:
-        amask = 0
-        for k, x in zip(kinds, a1):
-            if k == K_D or k == K_SEE or k == K_SSE:
-                amask |= x
+        return prog
+    amask = 0
+    for k, x in zip(kinds, a1):
+        if k == K_D or k == K_SEE or k == K_SSE:
+            amask |= x
     keep = [k for k in range(len(prog.agents)) if (amask >> k) & 1]
-    tnew = {t: j for j, t in enumerate(sorted(
-        {x for k, x in zip(kinds, a1) if k == K_ATOM}))}
-    if len(keep) == len(prog.agents) and len(tnew) == len(prog.atoms):
+    if len(keep) == len(prog.agents):
         return prog
 
     def renumber(k, x):
-        if k == K_ATOM:
-            return tnew[x]
         if k == K_D or k == K_SEE or k == K_SSE:
             return sum(1 << j for j, a in enumerate(keep) if (x >> a) & 1)
         return x
 
     return Program(kinds, tuple(map(renumber, kinds, a1)), prog.a2, prog.a3,
-                   prog.root, tuple(prog.agents[k] for k in keep),
-                   tuple(t for i, t in enumerate(prog.atoms) if i in tnew))
+                   prog.root, tuple(prog.agents[k] for k in keep), prog.atoms)
 
 
 def backend_name() -> str:
@@ -230,35 +226,31 @@ def decode_index(idx: int, n: int, nag: int, nat: int):
     return tuple(words[:nag * n]), tuple(words[nag * n:])
 
 
-def _encode(words, n: int) -> int:
-    """Index of the model whose relation rows and valuations, in layout
-    order, are the n-bit words given; the inverse of decode_index."""
-    B = len(words) * n
+def model_index(model) -> int:
+    """Index of a model over w0..w{n-1}; the inverse of decode_index."""
+    n = model.n
+    B = model_bits(n, len(model.agents), len(model.atoms))
     idx = 0
-    for j, word in enumerate(words):
+    for j, word in enumerate(model.rows + model.vals):
         for v in range(n):
             if (word >> v) & 1:
                 idx |= 1 << (B - 1 - (j * n + v))
     return idx
 
 
-def model_index(model) -> int:
-    """Index of a model over w0..w{n-1}; the inverse of decode_index."""
-    return _encode(model.rows + model.vals, model.n)
-
-
 def lift_index(idx: int, n: int, part: Program, whole: Program) -> int:
     """Index in whole's space of model idx of part's space, part being
-    restrict_program(whole): the relation rows and valuations of the agents
-    and atoms part leaves out are empty. part keeps whole's roster order, so
-    lifting keeps the index order, and every index of whole's space whose
-    left-out rows and valuations are empty is the lift of one of part's."""
-    rows, vals = decode_index(idx, n, len(part.agents), len(part.atoms))
-    row = {a: rows[j * n:(j + 1) * n] for j, a in enumerate(part.agents)}
-    val = dict(zip(part.atoms, vals))
-    empty = (0,) * n
-    words = [w for a in whole.agents for w in row.get(a, empty)]
-    return _encode(words + [val.get(t, 0) for t in whole.atoms], n)
+    restrict_program(whole): the relation rows of the agents part leaves
+    out are empty. part keeps whole's roster order, so lifting keeps the
+    index order, and every index of whole's space whose left-out rows are
+    empty is the lift of one of part's."""
+    nn, low = n * n, n * len(whole.atoms)
+    pos = {a: k for k, a in enumerate(whole.agents)}
+    out = 0
+    for j, a in enumerate(reversed(part.agents)):
+        block = (idx >> (low + j * nn)) & ((1 << nn) - 1)
+        out |= block << (low + (len(whole.agents) - 1 - pos[a]) * nn)
+    return out | (idx & ((1 << low) - 1))
 
 
 # -- scan kernel --

@@ -9,14 +9,14 @@ it is returned, and one it rejects raises countermodel-rejected.
 
 Exhaustive mode compiles over the full roster, so unknown names, duplicate
 entries and the bit cap are decided on it, and then scans the program
-restricted to the agents and atoms it reads (engine.restrict_program). A
-formula's truth does not depend on the rest, and emptying their relation
-rows and valuations only clears index bits; so the first failing model of
-the full space has them empty and is the lift of the restricted scan's
-first failure (engine.lift_index), at the same world. The verdict is the
-one a scan of the full space would give: checked counts the models of the
-full space that the index order covers up to the first failure (all 2**B
-of a size with none), not the models the kernel evaluated.
+restricted to the agents it reads (engine.restrict_program). A formula's
+truth does not depend on the other agents' relations, and emptying their
+rows only clears index bits; so the first failing model of the full space
+has them empty and is the lift of the restricted scan's first failure
+(engine.lift_index), at the same world. The verdict is the one a scan of
+the full space would give: checked counts the models of the full space
+that the index order covers up to the first failure (all 2**B of a size
+with none), not the models the kernel evaluated.
 """
 from __future__ import annotations
 
