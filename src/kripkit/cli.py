@@ -173,20 +173,14 @@ def render_dot(model: Model, point=None) -> str:
             for a, ag in enumerate(model.agents):
                 f = (model.row(a, u) >> v) & 1
                 r = (model.row(a, v) >> u) & 1
-                if u == v:
-                    if f:
-                        both.append(ag)
-                elif f and r:
+                if f and r:
                     both.append(ag)
                 elif f:
                     fwd.append(ag)
                 elif r:
                     rev.append(ag)
             wu, wv = model.worlds[u], model.worlds[v]
-            if both and u == v:
-                lines.append(f'  "{wu}" -> "{wu}" '
-                             f'[label="{",".join(both)}", dir=none];')
-            elif both:
+            if both:
                 lines.append(f'  "{wu}" -> "{wv}" '
                              f'[label="{",".join(both)}", dir=none];')
             if fwd:

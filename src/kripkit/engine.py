@@ -48,26 +48,28 @@ by a frame's value; frames equal by value but built along different paths
 sit in different registers. empty-group and unknown-schema are raised when
 the schedule is built, definition-mismatch when a step meets it.
 
-restrict_program drops the agents a program does not read, and lift_index
-maps an index of the smaller space back to the full roster with the
-dropped relation rows empty. Emptying them maps every model to one of no
-larger index (the dropped bits are only cleared) with the same truth
-values, since the root reads none of them. So a failing model's emptied
-form fails at the same worlds, the first failure of the full space has no
-dropped bit set, and, as lifting keeps the index order, it is the lift of
-the first failure of the smaller space. A scan of the smaller space covers
-2**(bits kept) models where the full space has 2**B. Atoms are not
-dropped: valuation bits become lanes, so while n*nat <= LANE_BITS fewer
-atoms only narrow the lane vectors and never cut the number of blocks.
+restrict_program drops the agents a program does not read, keeping the
+others in roster order. The root's value on a model depends only on the
+valuations and on the relations of the agents the program reads (the
+coincidence lemma of modal logic). A model of the smaller space widens to
+the full roster by giving each dropped agent an empty relation. Emptying
+those rows maps every model of the full space to one of no larger index
+(the dropped bits are only cleared) with the same truth values. So the
+first failure of the full space has those rows empty: it is the widening
+of a model of the smaller space, and as widening keeps the index order,
+it is the widening of the first failure of the smaller space, failing at
+the same world. A scan of the smaller space covers 2**(bits kept) models
+where the full space has 2**B. Atoms are not dropped: valuation bits
+become lanes, so while n*nat <= LANE_BITS fewer atoms only narrow the lane
+vectors and never cut the number of blocks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import and_
 
-from .formula import (And, Atom, D, Eee, Formula, Not, See, Sse, Top,
-                      desugar)
-from .kripke_core import KripkitError
+from .formula import And, Atom, D, Eee, Formula, Not, See, Sse, desugar
+from .kripke_core import KripkitError, check_distinct
 
 K_ATOM, K_NOT, K_AND, K_D, K_EEE, K_SEE, K_SSE, K_TOP = range(8)
 
@@ -95,15 +97,6 @@ class Program:
     @property
     def n_nodes(self) -> int:
         return len(self.kinds)
-
-
-def check_distinct(kind: str, names) -> None:
-    """A roster names each agent or atom once; the kernel and the reference
-    semantics would otherwise read different positions for a name."""
-    if len(set(names)) < len(names):
-        dups = sorted({x for x in names if names.count(x) > 1})
-        raise KripkitError("duplicate-roster-entry",
-                           f"{kind} listed more than once: {', '.join(dups)}")
 
 
 def compile_program(phi: Formula, agents, atoms) -> Program:
@@ -160,10 +153,8 @@ def compile_program(phi: Formula, agents, atoms) -> Program:
             out = emit(K_SEE, gmask(f.group), go(f.sub))
         elif isinstance(f, Sse):
             out = emit(K_SSE, gmask(f.group), go(f.topic), go(f.sub))
-        elif isinstance(f, Top):
+        else:  # Top, the last core node desugar leaves
             out = emit(K_TOP)
-        else:
-            raise TypeError(type(f))
         done[id(f)] = out
         return out
 
@@ -178,10 +169,8 @@ def restrict_program(prog: Program) -> Program:
     prog itself when it reads every agent, as it does once an eee node
     occurs.
 
-    The root's value on a model depends only on the valuations and on the
-    relations of the agents the program reads (the coincidence lemma of
-    modal logic); the module docstring says why a scan of the result finds
-    the first failure of prog's space."""
+    The module docstring says why a scan of the result finds the first
+    failure of prog's space."""
     kinds, a1 = prog.kinds, prog.a1
     if K_EEE in kinds:
         return prog
@@ -236,21 +225,6 @@ def model_index(model) -> int:
             if (word >> v) & 1:
                 idx |= 1 << (B - 1 - (j * n + v))
     return idx
-
-
-def lift_index(idx: int, n: int, part: Program, whole: Program) -> int:
-    """Index in whole's space of model idx of part's space, part being
-    restrict_program(whole): the relation rows of the agents part leaves
-    out are empty. part keeps whole's roster order, so lifting keeps the
-    index order, and every index of whole's space whose left-out rows are
-    empty is the lift of one of part's."""
-    nn, low = n * n, n * len(whole.atoms)
-    pos = {a: k for k, a in enumerate(whole.agents)}
-    out = 0
-    for j, a in enumerate(reversed(part.agents)):
-        block = (idx >> (low + j * nn)) & ((1 << nn) - 1)
-        out |= block << (low + (len(whole.agents) - 1 - pos[a]) * nn)
-    return out | (idx & ((1 << low) - 1))
 
 
 # -- scan kernel --

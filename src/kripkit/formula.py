@@ -159,6 +159,8 @@ def symbols_of(phi: Formula) -> tuple:
         elif isinstance(f, (Sse, Dhat)):
             agents.update(f.group)
             todo += (f.topic, f.sub)
+        elif not isinstance(f, (Top, Bot)):
+            raise KripkitError("not-a-formula", repr(f))
     return frozenset(atoms), frozenset(agents)
 
 
@@ -231,7 +233,7 @@ def _desugar(phi: Formula, memo: dict) -> Formula:
     elif isinstance(phi, Bot):
         out = Not(Top())
     else:
-        raise TypeError(type(phi))
+        raise KripkitError("not-a-formula", repr(phi))
     memo[id(phi)] = out
     return out
 
@@ -318,9 +320,6 @@ _TOKEN_RE = re.compile(r"""
   | (?P<ident>[a-z][a-z0-9_]*)
 """, re.VERBOSE)
 
-_KEYWORDS = {"true", "false"}
-
-
 def _tokenize(text: str):
     toks = []
     pos = 0
@@ -345,7 +344,6 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
 
@@ -363,10 +361,6 @@ class _Parser:
             raise KripkitError("syntax-error",
                                f"position {t[2]}: expected {kind!r}, got {t[1]!r}")
         return t
-
-    def fail(self, msg):
-        t = self.peek()
-        raise KripkitError("syntax-error", f"position {t[2]}: {msg}")
 
     # precedence: <-> < -> < | < & < unary
     def formula(self) -> Formula:
@@ -546,7 +540,7 @@ def _print(phi: Formula, memo: dict) -> str:
             head = (f"Dhat{{{_group_str(phi.group)} | "
                     f"{_print(phi.topic, memo)}}} ")
         else:
-            raise TypeError(t)
+            raise KripkitError("not-a-formula", repr(phi))
         sub = phi.sub
         out = _print(sub, memo)
         if type(sub) in _PREC:

@@ -92,8 +92,8 @@ class Model:
 
     # -- construction --
     @staticmethod
-    def build(worlds, agents, atoms, relations: Mapping, valuation: Mapping,
-              validate: bool = True) -> "Model":
+    def build(worlds, agents, atoms, relations: Mapping,
+              valuation: Mapping) -> "Model":
         """Build from pair sets / world sets; names or indices accepted."""
         worlds = tuple(worlds)
         agents = tuple(agents)
@@ -127,8 +127,7 @@ class Model:
             if at not in atoms:
                 raise KripkitError("unknown-atom", str(at))
         m = Model(worlds, agents, atoms, tuple(rows), tuple(vals))
-        if validate:
-            validate_model(m)
+        validate_model(m)
         return m
 
 
@@ -162,6 +161,15 @@ def pairs_to_rows(pairs, n: int) -> tuple:
     return tuple(rows)
 
 
+def check_distinct(kind: str, names) -> None:
+    """A roster names each agent or atom once; the kernel and the reference
+    semantics would otherwise read different positions for a name."""
+    if len(set(names)) < len(names):
+        dups = sorted({x for x in names if names.count(x) > 1})
+        raise KripkitError("duplicate-roster-entry",
+                           f"{kind} listed more than once: {', '.join(dups)}")
+
+
 def validate_model(model: Model) -> None:
     """Raise on any structural invariant violation."""
     n = model.n
@@ -169,6 +177,8 @@ def validate_model(model: Model) -> None:
         raise KripkitError("dangling-world", "empty world set")
     if len(set(model.worlds)) != n:
         raise KripkitError("dangling-world", "duplicate world names")
+    check_distinct("agent", model.agents)
+    check_distinct("atom", model.atoms)
     if len(model.rows) != len(model.agents) * n:
         raise KripkitError("missing-agent-relation",
                    f"{len(model.rows)} rows for {len(model.agents)} agents")
@@ -209,8 +219,6 @@ def group_mask(model: Model, G) -> int:
 
 def distributed_relation(model: Model, G) -> Relation:
     """R_{D,G}: intersection of the relations of the agents in G."""
-    if not G:
-        raise KripkitError("empty-group")
     return rows_to_pairs(distributed_rows(model, group_mask(model, G)))
 
 

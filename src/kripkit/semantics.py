@@ -7,26 +7,21 @@ the relations change.
 Each model visited during one evaluation has its own memo, keyed by the
 identity of the subformula object. The root formula keeps every subformula
 alive for the length of the call, so no identity is reused within it.
+
+Names are checked where they are read: every atom and agent is looked up
+through Model.atom_index or Model.agent_index as its node is first
+evaluated, and an updated model keeps the rosters, so a name outside them
+raises unknown-atom or unknown-agent, naming the first one met.
 """
 from __future__ import annotations
 
 from .formula import (And, Atom, Bot, D, Dhat, Eee, Formula, Iff, Implies, K,
-                      Not, Or, See, Sse, Top, symbols_of)
-from .kripke_core import Model, distributed_rows, group_mask
+                      Not, Or, See, Sse, Top)
+from .kripke_core import KripkitError, Model, distributed_rows, group_mask
 from .transforms import eee_rows, knowing_only_rows, see_rows, sse_rows
 
 
-def check_rosters(model: Model, phi: Formula) -> None:
-    """Every atom and agent the formula mentions must exist in the model."""
-    atoms, agents = symbols_of(phi)
-    for at in sorted(atoms):
-        model.atom_index(at)
-    for ag in sorted(agents):
-        model.agent_index(ag)
-
-
 def truth_mask(model: Model, phi: Formula) -> int:
-    check_rosters(model, phi)
     return _eval(model, phi, {})
 
 
@@ -93,6 +88,6 @@ def _eval(model: Model, phi: Formula, memo: dict) -> int:
         moved = model.with_rows(sse_rows(model, group_mask(model, phi.group), chi))
         out = _eval(moved, phi.sub, {})
     else:
-        raise TypeError(type(phi))
+        raise KripkitError("not-a-formula", repr(phi))
     memo[key] = out
     return out

@@ -9,12 +9,10 @@ it is returned, and one it rejects raises countermodel-rejected.
 
 Exhaustive mode compiles over the full roster, so unknown names, duplicate
 entries and the bit cap are decided on it, and then scans the program
-restricted to the agents it reads (engine.restrict_program). A formula's
-truth does not depend on the other agents' relations, and emptying their
-rows only clears index bits; so the first failing model of the full space
-has them empty and is the lift of the restricted scan's first failure
-(engine.lift_index), at the same world. The verdict is the one a scan of
-the full space would give: checked counts the models of the full space
+restricted to the agents it reads (engine.restrict_program). Its first
+failure, widened to the full roster with the other agents' relations
+empty, is the first failure a scan of the full space would give; the
+engine docstring says why. checked counts the models of the full space
 that the index order covers up to the first failure (all 2**B of a size
 with none), not the models the kernel evaluated.
 """
@@ -25,12 +23,11 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
 
-from .engine import (check_distinct, compile_program, decode_index,
-                     lift_index, model_bits, model_index, restrict_program,
-                     run_one, run_range)
+from .engine import (compile_program, decode_index, model_bits, model_index,
+                     restrict_program, run_one, run_range)
 from .formula import (And, Atom, D, Dhat, Eee, Formula, Iff, Implies, K, Not,
                       Or, See, Sse)
-from .kripke_core import KripkitError, Model, PointedModel
+from .kripke_core import KripkitError, Model, PointedModel, check_distinct
 from .semantics import satisfies
 
 EXHAUSTIVE_BIT_CAP = 24
@@ -78,6 +75,18 @@ def decode_model(idx: int, n: int, agents, atoms) -> Model:
     return Model(worlds, agents, atoms, rows, vals)
 
 
+def _widen(model: Model, agents: tuple) -> Model:
+    """model over the roster agents, which holds model's agents in the same
+    order: every other agent's relation is empty."""
+    n = model.n
+    rows = {a: model.rows[k * n:(k + 1) * n]
+            for k, a in enumerate(model.agents)}
+    empty = (0,) * n
+    return Model(model.worlds, agents, model.atoms,
+                 tuple(r for a in agents for r in rows.get(a, empty)),
+                 model.vals)
+
+
 def enumerate_models(n: int, agents, atoms):
     """All models of the given shape, in index order."""
     B = model_bits(n, len(tuple(agents)), len(tuple(atoms)))
@@ -112,8 +121,9 @@ def check_validity(phi: Formula, bounds: SearchBounds) -> Verdict:
             B = model_bits(n, len(part.agents), len(part.atoms))
             idx, w, _ = run_range(part, n, 0, 1 << B)
             if idx >= 0:
-                idx = lift_index(idx, n, part, prog)
-                model = decode_model(idx, n, bounds.agents, bounds.atoms)
+                model = _widen(decode_model(idx, n, part.agents, part.atoms),
+                               bounds.agents)
+                idx = model_index(model)
                 return Verdict(False, checked + idx + 1,
                                _reverified(phi, model, w), idx)
             checked += 1 << model_bits(n, nag, nat)

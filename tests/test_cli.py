@@ -148,6 +148,23 @@ def test_validity_duplicate_roster_entry_is_usage_error(agents, atoms):
     assert "duplicate-roster-entry" in res.output
 
 
+def test_check_duplicate_roster_entry_is_usage_error(tmp_path):
+    path = tmp_path / "dup.km"
+    path.write_text("worlds: w0 w1\nagents: a a\natoms: p\n"
+                    "rel a: w0-w1\nval p: w1\n")
+    res = run("check", "--model", str(path), "--world", "w0",
+              "--formula", "K_a p")
+    assert res.exit_code == 2
+    assert "duplicate-roster-entry" in res.output
+
+
+def test_transform_alpha_entry_without_colon_is_usage_error(m1_file):
+    res = run("transform", "--model", m1_file, "--op", "read",
+              "--alpha", "a:a;b")
+    assert res.exit_code == 2
+    assert "bad --alpha entry 'b'" in res.output
+
+
 def test_demo_paper():
     res = run("demo", "paper")
     assert res.exit_code == 0
@@ -177,6 +194,13 @@ def test_dot_directed_edges_not_merged(tmp_path):
     assert res.exit_code == 0
     assert '"w0" -> "w2" [label="a,b"];' in res.output
     assert '"w0" -> "w1" [label="b"];' in res.output
+    assert "dir=none" not in res.output
+    # an edge only from the later world to the earlier one
+    path.write_text("worlds: w0 w1\nagents: a\natoms: p\n"
+                    "rel a: w1-w0\nval p: w1\n")
+    res = run("dot", "--model", str(path))
+    assert res.exit_code == 0
+    assert '"w1" -> "w0" [label="a"];' in res.output
     assert "dir=none" not in res.output
 
 

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kripkit import (And, Atom, Bot, D, Dhat, Eee, Formula, Iff, Implies, K,
-                     KripkitError, Not, Or, See, Sse, Top, agents_of,
-                     atoms_of, c_greater, complexity, desugar, ndc, nsc,
-                     parse, print_formula)
+                     KripkitError, Model, Not, Or, SearchBounds, See, Sse,
+                     Top, agents_of, atoms_of, c_greater, check_validity,
+                     complexity, desugar, ndc, nsc, parse, print_formula,
+                     translate, truth_mask)
 from kripkit.formula import symbols_of
 
 import gen
@@ -330,3 +331,25 @@ def test_shared_nodes_are_walked_once():
     assert copy == small and copy.left is not copy.right
     assert print_formula(small) == print_formula(copy)
     assert desugar(small) == desugar(copy)
+
+
+_ONE_WORLD = Model.build(("w0",), ("a",), ("p",), {"a": set()}, {"p": set()})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_validity("p", SearchBounds(1, ("a",), ("p",))),
+    lambda: translate(None),
+    lambda: print_formula(3),
+    lambda: desugar(3),
+    lambda: desugar(And(Atom("p"), 3)),
+    lambda: truth_mask(_ONE_WORLD, "p"),
+    lambda: truth_mask(_ONE_WORLD, Not("p")),
+    lambda: agents_of("p"),
+    lambda: atoms_of(K("a", None)),
+], ids=["check_validity", "translate", "print_formula", "desugar",
+        "desugar-nested", "truth_mask", "truth_mask-nested", "agents_of",
+        "atoms_of-nested"])
+def test_non_formula_input_is_refused(call):
+    with pytest.raises(KripkitError) as e:
+        call()
+    assert e.value.code == "not-a-formula"

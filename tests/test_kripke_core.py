@@ -70,6 +70,18 @@ def test_build_rejects_bad_references():
         Model.build(("w0",), ("a",), ("p",),
                     {"a": set()}, {"p": {"w9"}})
     assert e.value.code == "dangling-world"
+    with pytest.raises(KripkitError, match="empty world set") as e:
+        Model.build((), ("a",), ("p",), {"a": set()}, {"p": set()})
+    assert e.value.code == "dangling-world"
+    with pytest.raises(KripkitError, match="duplicate world names") as e:
+        Model.build(("w0", "w0"), ("a",), ("p",), {"a": set()}, {"p": set()})
+    assert e.value.code == "dangling-world"
+    with pytest.raises(KripkitError) as e:
+        Model.build(("w0",), ("a", "a"), ("p",), {"a": set()}, {"p": set()})
+    assert e.value.code == "duplicate-roster-entry"
+    with pytest.raises(KripkitError) as e:
+        Model.build(("w0",), ("a",), ("p", "p"), {"a": set()}, {"p": set()})
+    assert e.value.code == "duplicate-roster-entry"
 
 
 def test_pointed_model_checks_world():
@@ -176,11 +188,45 @@ point: w0
     ("worlds: w0\nagents: a\natoms: p\nrel a: \nval p:\nbogus: x",
      "syntax-error"),
     ("worlds: w0\nagents: a\natoms: p\nrel a: w0w0\nval p:", "syntax-error"),
+    ("worlds: w0 w1\nagents: a a\natoms: p\nrel a: w0-w1\nval p: w1\n",
+     "duplicate-roster-entry"),
+    ("worlds: w0 w1\nagents: a\natoms: p p\nrel a: w0-w1\nval p: w1\n",
+     "duplicate-roster-entry"),
+    ("worlds w0\nagents: a\natoms: p\nrel a: \nval p:", "syntax-error"),
+    ("worlds: w0 w1\nagents: a\natoms: p\nrel a: \nval p:\npoint: w0 w1",
+     "syntax-error"),
+    ("worlds: w0\nagents: a\nrel a: \n", "syntax-error"),
 ])
 def test_parse_model_errors(text, code):
     with pytest.raises(KripkitError) as e:
         parse_model(text)
     assert e.value.code == code
+
+
+@pytest.mark.parametrize("rows, vals, code, message", [
+    ((0,), (0,), "missing-agent-relation", "1 rows for 2 agents"),
+    ((0b100, 0), (0,), "dangling-world", "row 0 points outside W"),
+    ((0, 0), (), "unknown-atom", "valuation arity mismatch"),
+    ((0, 0), (0b10,), "dangling-world", "valuation of p"),
+])
+def test_validate_model_rejects_broken_models(rows, vals, code, message):
+    # one world, agents a and b, atom p: rows and valuations built by hand
+    m = Model(("w0",), ("a", "b"), ("p",), rows, vals)
+    with pytest.raises(KripkitError, match=message) as e:
+        validate_model(m)
+    assert e.value.code == code
+
+
+def test_with_rows_counts_rows():
+    with pytest.raises(KripkitError) as e:
+        small().with_rows((0, 0, 0))
+    assert e.value.code == "row-count-mismatch"
+
+
+def test_relations_by_agent():
+    m = small()
+    assert m.relations == {"a": m.relation("a"), "b": m.relation("b")}
+    assert m.relations["b"] == frozenset({(0, 0), (1, 1), (1, 0)})
 
 
 def test_validate_model_passes_on_generated():

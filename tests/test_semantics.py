@@ -112,6 +112,24 @@ def test_roster_errors():
     with pytest.raises(KripkitError) as e:
         satisfies(m, "w9", Atom("p"))
     assert e.value.code == "dangling-world"
+    # names only the evaluator's own lookups reach
+    z = Atom("z")
+    for f in (Eee(z), Sse(frozenset("a"), z, Atom("p")),
+              See(frozenset(), z)):
+        with pytest.raises(KripkitError) as e:
+            satisfies(m, 0, f)
+        assert e.value.code == "unknown-atom", f
+    for f in (Dhat(frozenset("z"), Atom("p"), Atom("p")),
+              Sse(frozenset("z"), Atom("p"), Atom("p"))):
+        with pytest.raises(KripkitError) as e:
+            satisfies(m, 0, f)
+        assert e.value.code == "unknown-agent", f
+    # the first unknown name the evaluator looks up is the one reported:
+    # K_z's agent before the atom y under it
+    with pytest.raises(KripkitError) as e:
+        satisfies(m, 0, K("z", Atom("y")))
+    assert e.value.code == "unknown-agent"
+    assert str(e.value) == "unknown-agent: z"
 
 
 def test_parsed_and_constructed_agree():

@@ -88,6 +88,11 @@ def test_sse_empty_senders_is_identity():
         assert apply_sse(m, frozenset(), Atom("p")) == m
 
 
+def test_eee_without_agents_keeps_the_model():
+    m = Model.build(("w0", "w1"), (), ("p",), {}, {"p": {"w1"}})
+    assert apply_eee(m) == m
+
+
 def test_reading_events():
     rng = random.Random(37)
     m1 = model_m1()
