@@ -36,17 +36,19 @@ of R_k(u, v) over k in G (all-ones for the empty group):
 The topic is evaluated on every lane at once, so the body of an sse node is
 evaluated once per frame.
 
-The evaluator is a flat schedule over a list of registers, built once per
-program, world count and block width and kept on the Program. A walk from
-the root gives a register to each (node, frame) pair it meets, to each R_G
-it needs (one per group and frame) and to each frame: register 0 holds the
-block's relation bits, and an eee, see or sse node writes a new frame
-register, shared by updates of the same kind, group and topic on the same
-frame. The walk emits one step per register in dependency order, so a
-block runs the steps in a plain loop, with no recursion and no lookup keyed
-by a frame's value; frames equal by value but built along different paths
-sit in different registers. empty-group and unknown-schema are raised when
-the schedule is built, definition-mismatch when a step meets it.
+The evaluator is a flat plan over a list of registers, built once per
+program on its first non-empty scan and kept on the Program; no register
+or step depends on the world count or the block width. A walk from the
+root gives a register to each (node, frame) pair it meets, to each R_G
+it needs (one per group and frame, a meet step) and to each frame:
+register 0 holds the block's relation bits, and an eee, see or sse node
+writes a new frame register, shared by updates of the same kind, group
+and topic on the same frame. The walk emits one step per register in
+dependency order, so a block runs the steps in a plain loop, with no
+recursion and no lookup keyed by a frame's value; frames equal by value
+but built along different paths sit in different registers. empty-group
+and unknown-schema are raised when the plan is built, definition-mismatch
+when an sse step meets it.
 
 restrict_program drops the agents a program does not read, keeping the
 others in roster order. The root's value on a model depends only on the
@@ -72,13 +74,14 @@ from .formula import And, Atom, D, Eee, Formula, Not, See, Sse, desugar
 from .kripke_core import KripkitError, check_distinct
 
 K_ATOM, K_NOT, K_AND, K_D, K_EEE, K_SEE, K_SSE, K_TOP = range(8)
+# a plan step only, never a program node: R_G of one frame
+K_MEET = 8
 
 # A block holds at most 2**LANE_BITS models, and no more than the
 # valuation bits span (L <= n*nat), so its relation bits are all-ones or
-# zero. A schedule is built for one (n, L) and its steps would take wider
-# blocks as they are; blocks stay narrow because every lane of a block is
-# evaluated before its first failure is reported, so wider blocks delay
-# early failures.
+# zero. The plan takes any width; blocks stay narrow because every lane
+# of a block is evaluated before its first failure is reported, so wider
+# blocks delay early failures.
 LANE_BITS = 12
 
 
@@ -91,8 +94,8 @@ class Program:
     root: int
     agents: tuple
     atoms: tuple
-    # evaluators built by _schedule, keyed by (worlds, lane bits)
-    schedules: dict = field(default_factory=dict, compare=False, repr=False)
+    # the evaluation plan, built by _plan on the first non-empty scan
+    plan: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -204,8 +207,12 @@ def model_bits(n: int, nag: int, nat: int) -> int:
 
 
 def decode_index(idx: int, n: int, nag: int, nat: int):
-    """Relation rows and valuations of model idx, as (rows, vals)."""
+    """Relation rows and valuations of model idx < 2**B, as (rows, vals)."""
     B = model_bits(n, nag, nat)
+    if not 0 <= idx < 1 << B:
+        raise KripkitError("index-out-of-range",
+                           f"model index {idx} outside [0, 2**{B}) "
+                           f"at {n} worlds")
     words = []
     for j in range(nag * n + nat):
         word = 0
@@ -239,49 +246,36 @@ def _projections(L):
     return out
 
 
-def _schedule(prog, n, lanes):
-    """The root's evaluator at n worlds on blocks whose all-ones lane vector
-    is lanes: run(frame, vals) returns the root's per-world lane vectors
-    (see the module docstring)."""
+def _plan(prog):
+    """The root's evaluation plan, as (steps, root register); each step
+    (kind, out, x, y, z) writes register out (see the module docstring)."""
     kinds, a1, a2, a3 = prog.kinds, prog.a1, prog.a2, prog.a3
-    nag, nat = len(prog.agents), len(prog.atoms)
-    nn = n * n
-    pairs = [(u, v) for u in range(n) for v in range(n)]
+    nag = len(prog.agents)
     # register 0 holds the block's frame, 1..nat its atom values, the next
     # one R_G for the empty group and the one after it top; every later one
-    # is written by its step, (register, fn) with reg[register] = fn(reg),
-    # in schedule order
-    ones = 1 + nat
-    init = [None] * ones + [[lanes] * nn, [lanes] * n]
+    # is written by its step, in plan order
+    ones = 1 + len(prog.atoms)
     steps = []
     # (node, frame register), or a meet or frame key -> register
     regs = {}
 
-    def emit(fn):
-        steps.append((len(init), fn))
-        init.append(None)
-        return len(init) - 1
+    def emit(kind, x=0, y=0, z=0):
+        o = ones + 2 + len(steps)
+        steps.append((kind, o, x, y, z))
+        return o
 
-    def once(key, fn):
+    def once(key, *step):
         o = regs.get(key)
         if o is None:
-            o = regs[key] = emit(fn)
+            o = regs[key] = emit(*step)
         return o
 
     def meet(g, f):
         """Register of R_G(u, v) for every pair in frame register f."""
-        offs = [k * nn for k in range(nag) if (g >> k) & 1]
-        if not offs:
+        ks = tuple(k for k in range(nag) if (g >> k) & 1)
+        if not ks:
             return ones
-        first, rest = offs[0], offs[1:]
-
-        def fn(reg):
-            frame = reg[f]
-            out = frame[first:first + nn]
-            for j in rest:
-                out = list(map(and_, out, frame[j:j + nn]))
-            return out
-        return once(("meet", g, f), fn)
+        return once(("meet", g, f), K_MEET, f, ks)
 
     def node(i, f):
         o = regs.get((i, f))
@@ -294,80 +288,30 @@ def _schedule(prog, n, lanes):
         if k == K_ATOM:
             return 1 + a1[i]
         if k == K_NOT:
-            s = node(a1[i], f)
-            return emit(lambda reg: [lanes ^ x for x in reg[s]])
+            return emit(K_NOT, node(a1[i], f))
         if k == K_AND:
-            x, y = node(a1[i], f), node(a2[i], f)
-            return emit(lambda reg: list(map(and_, reg[x], reg[y])))
+            return emit(K_AND, node(a1[i], f), node(a2[i], f))
         if k == K_D:
             if a1[i] == 0:
                 raise KripkitError("empty-group", "D node with empty mask")
-            s, m = node(a2[i], f), meet(a1[i], f)
-
-            def fn(reg):
-                # out[u] = AND_v(sub[v] | ~R_G(u, v)); pairs outside R_G
-                # drop out
-                sub, rg = reg[s], reg[m]
-                acc, j = [], 0
-                for _ in range(n):
-                    x = lanes
-                    for y in sub:
-                        r = rg[j]
-                        if r:
-                            x &= y | ~r
-                        j += 1
-                    acc.append(x)
-                return acc
-            return emit(fn)
+            return emit(K_D, node(a2[i], f), meet(a1[i], f))
         if k == K_EEE:
             m = meet((1 << nag) - 1, f)
-            return node(a1[i], once(("eee", f), lambda reg: reg[m] * nag))
+            return node(a1[i], once(("eee", f), K_EEE, m))
         if k == K_SEE:
             g = a1[i]
-            m = meet(g, f)
-            return node(a2[i], once(("see", g, f), lambda reg: list(
-                map(and_, reg[f], reg[m] * nag))))
+            return node(a2[i], once(("see", g, f), K_SEE, f, meet(g, f)))
         if k == K_SSE:
             s = a1[i]
             t, m = node(a2[i], f), meet(s, f)
-            senders = [j * nn for j in range(nag) if (s >> j) & 1]
-
-            def fn(reg):
-                fr, chi = reg[f], reg[t]
-                cross = [chi[u] ^ chi[v] for u, v in pairs]
-                # subtractive form: cut the pairs that cross the topic where
-                # a sender does not relate them
-                cut = [0] * nn
-                for j in senders:
-                    cut = [c | (x & ~r) for c, x, r in
-                           zip(cut, cross, fr[j:j + nn])]
-                sub_form = [x & ~c for x, c in zip(fr, cut * nag)]
-                # intersection form: keep pairs the senders relate or that
-                # stay on one side of the topic
-                keep = [r | ~x for r, x in zip(reg[m], cross)]
-                if sub_form != list(map(and_, fr, keep * nag)):
-                    raise KripkitError(
-                        "definition-mismatch",
-                        "subtractive and intersection forms disagree")
-                return sub_form
-            return node(a3[i], once(("sse", s, t, f), fn))
+            senders = tuple(j for j in range(nag) if (s >> j) & 1)
+            return node(a3[i],
+                        once(("sse", s, t, f), K_SSE, f, t, (m, senders)))
         if k == K_TOP:
             return ones + 1
         raise KripkitError("unknown-schema", f"bad node kind {k}")
 
-    root = node(prog.root, 0)
-
-    def run(frame, vals):
-        # a list of its own per block, so that two threads scanning one
-        # program do not share registers
-        reg = init.copy()
-        reg[0] = frame
-        reg[1:ones] = vals
-        for o, fn in steps:
-            reg[o] = fn(reg)
-        return reg[root]
-
-    return run
+    return steps, node(prog.root, 0)
 
 
 def _scan(prog: Program, n: int, start: int, stop: int):
@@ -376,22 +320,76 @@ def _scan(prog: Program, n: int, start: int, stop: int):
     lanes than the range has models, so one index is one lane."""
     if stop <= start:
         return -1, -1, 0
+    if prog.plan is None:
+        object.__setattr__(prog, "plan", _plan(prog))
+    steps, root = prog.plan
     nag, nat = len(prog.agents), len(prog.atoms)
-    nr = n * n * nag
+    nn, nr = n * n, n * n * nag
     B = model_bits(n, nag, nat)
     L = min(n * nat, LANE_BITS, (stop - start).bit_length() - 1)
     width = 1 << L
     lanes = (1 << width) - 1
     low = _projections(L)[::-1]
     high = range(B - 1, L - 1, -1)
-    run = prog.schedules.get((n, L))
-    if run is None:
-        run = prog.schedules[n, L] = _schedule(prog, n, lanes)
+    init = ([None] * (1 + nat) + [[lanes] * nn, [lanes] * n]
+            + [None] * len(steps))
     base = start - start % width
     while base < stop:
         # the block's index bits in layout order, position j at bit B-1-j
         bits = [lanes if (base >> b) & 1 else 0 for b in high] + low
-        root_val = run(bits[:nr], [bits[i:i + n] for i in range(nr, B, n)])
+        # a list of its own per block, so that two threads scanning one
+        # program do not share registers
+        reg = init.copy()
+        reg[0] = bits[:nr]
+        reg[1:1 + nat] = [bits[i:i + n] for i in range(nr, B, n)]
+        for k, o, x, y, z in steps:
+            if k == K_AND:
+                reg[o] = list(map(and_, reg[x], reg[y]))
+            elif k == K_NOT:
+                reg[o] = [lanes ^ v for v in reg[x]]
+            elif k == K_D:
+                # out[u] = AND_v(sub[v] | ~R_G(u, v)); pairs outside R_G
+                # drop out
+                sub, rg = reg[x], reg[y]
+                val, j = [], 0
+                for _ in range(n):
+                    acc = lanes
+                    for v in sub:
+                        r = rg[j]
+                        if r:
+                            acc &= v | ~r
+                        j += 1
+                    val.append(acc)
+                reg[o] = val
+            elif k == K_MEET:
+                fr = reg[x]
+                val = fr[y[0] * nn:(y[0] + 1) * nn]
+                for j in y[1:]:
+                    val = list(map(and_, val, fr[j * nn:(j + 1) * nn]))
+                reg[o] = val
+            elif k == K_EEE:
+                reg[o] = reg[x] * nag
+            elif k == K_SEE:
+                reg[o] = list(map(and_, reg[x], reg[y] * nag))
+            else:  # K_SSE
+                fr, chi, (m, senders) = reg[x], reg[y], z
+                cross = [cu ^ cv for cu in chi for cv in chi]
+                # subtractive form: cut the pairs that cross the topic
+                # where a sender does not relate them
+                cut = [0] * nn
+                for j in senders:
+                    cut = [c | (v & ~r) for c, v, r in
+                           zip(cut, cross, fr[j * nn:(j + 1) * nn])]
+                sub_form = [v & ~c for v, c in zip(fr, cut * nag)]
+                # intersection form: keep pairs the senders relate or that
+                # stay on one side of the topic
+                keep = [r | ~v for r, v in zip(reg[m], cross)]
+                if sub_form != list(map(and_, fr, keep * nag)):
+                    raise KripkitError(
+                        "definition-mismatch",
+                        "subtractive and intersection forms disagree")
+                reg[o] = sub_form
+        root_val = reg[root]
         bad = 0
         for x in root_val:
             bad |= lanes ^ x

@@ -157,6 +157,9 @@ def rows_to_pairs(rows) -> Relation:
 def pairs_to_rows(pairs, n: int) -> tuple:
     rows = [0] * n
     for (u, v) in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise KripkitError("dangling-world",
+                               f"pair ({u}, {v}) outside {n} worlds")
         rows[u] |= 1 << v
     return tuple(rows)
 

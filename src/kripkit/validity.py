@@ -89,7 +89,8 @@ def _widen(model: Model, agents: tuple) -> Model:
 
 def enumerate_models(n: int, agents, atoms):
     """All models of the given shape, in index order."""
-    B = model_bits(n, len(tuple(agents)), len(tuple(atoms)))
+    agents, atoms = tuple(agents), tuple(atoms)
+    B = model_bits(n, len(agents), len(atoms))
     for idx in range(1 << B):
         yield decode_model(idx, n, agents, atoms)
 
@@ -195,7 +196,7 @@ def formula_pool(depth: int, atoms, agents, limit: Optional[int] = None) -> tupl
                     add(Sse(s, f, Atom(t)))
             if limit is not None and len(pool) >= 4 * limit:
                 break
-    return tuple(pool[:limit] if limit else pool)
+    return tuple(pool if limit is None else pool[:max(limit, 0)])
 
 
 SCHEMAS = ("K_D", "M_D", "G_D",
@@ -218,11 +219,16 @@ def _cycle(seq):
 
 def axiom_instances(schema: str, atoms=("p", "q"), agents=("a", "b"),
                     count: int = 200) -> tuple:
-    """Up to `count` distinct instances of the named schema.
+    """Up to `count` distinct instances of the named schema; none when
+    count < 1.
 
     The atom cases of the broadcast reductions have tiny instance spaces
     (one per atom, times sender subsets); those return the whole space.
     """
+    if schema not in SCHEMAS:
+        raise KripkitError("unknown-schema", schema)
+    if count < 1:
+        return ()
     atoms = tuple(atoms)
     agents = tuple(agents)
     roster = frozenset(agents)
@@ -290,8 +296,6 @@ def axiom_instances(schema: str, atoms=("p", "q"), agents=("a", "b"),
                 body = Sse(S, chi, f)
                 yield Iff(Sse(S, chi, D(G, f)),
                           And(D(S | G, body), Dhat(G, chi, body)))
-        else:
-            raise KripkitError("unknown-schema", schema)
 
     out, seen = [], set()
     # generators over cycled parameter lists are infinite; bound the scan

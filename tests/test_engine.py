@@ -307,8 +307,11 @@ def test_frames_equal_by_value_in_separate_registers(wrap):
 
 
 def test_one_program_at_several_sizes_and_widths(monkeypatch):
-    # schedules are kept per (worlds, lane bits) on the program; scans at
-    # other sizes and widths in between must not disturb one another
+    # one plan serves a program at every size and width; scans at other
+    # sizes and widths in between must not disturb one another
+    built = []
+    plan = engine._plan
+    monkeypatch.setattr(engine, "_plan", lambda p: built.append(p) or plan(p))
     rng = random.Random(72)
     for trial in range(6):
         chi = gen.random_formula(rng, 2, ATOMS, AGENTS)
@@ -329,7 +332,7 @@ def test_one_program_at_several_sizes_and_widths(monkeypatch):
                     assert run_range(prog, n, a, b) == \
                         run_range(fresh, n, a, b), (phi, lane_bits, n, a, b)
                     assert run_one(prog, n, a) == run_one(fresh, n, a)
-        assert {n for n, _ in prog.schedules} == {1, 2, 3}
+        assert sum(p is prog for p in built) == 1
 
 
 def test_programs_of_equivalence_checks_are_pinned():

@@ -145,6 +145,13 @@ def test_relation_properties_against_oracle():
         assert relation_properties(rel, n) == O.props(named, worlds)
 
 
+def test_pairs_outside_the_worlds_rejected():
+    for pair in ((0, 5), (2, 0), (-1, 0), (0, -1)):
+        with pytest.raises(KripkitError) as e:
+            relation_properties(frozenset({pair}), 2)
+        assert e.value.code == "dangling-world"
+
+
 def test_relation_properties_equivalence():
     rng = random.Random(8)
     for _ in range(40):

@@ -24,6 +24,14 @@ def test_decode_table_one_world():
     assert all(m.worlds == ("w0",) for m in ms)
 
 
+def test_decode_rejects_indices_outside_the_space():
+    # 2 bits at 1 world / 1 agent / 1 atom
+    for idx in (-1, 4, 2**40):
+        with pytest.raises(KripkitError) as e:
+            decode_model(idx, 1, ("a",), ("p",))
+        assert e.value.code == "index-out-of-range"
+
+
 def test_model_bits():
     assert model_bits(1, 1, 1) == 2
     assert model_bits(2, 1, 1) == 6
@@ -37,6 +45,9 @@ def test_enumeration_counts_and_order():
     for i, m in enumerate(ms):
         assert model_index(m) == i
         assert m == decode_model(i, 2, ("a",), ("p",))
+    # each roster is read once, so iterators work too
+    ms = list(enumerate_models(1, iter(["a"]), iter(["p"])))
+    assert ms == [decode_model(i, 1, ("a",), ("p",)) for i in range(4)]
 
 
 def test_codec_matches_documented_layout():
@@ -261,9 +272,20 @@ def test_axiom_instances_counts():
 
 
 def test_axiom_instances_unknown_schema():
-    with pytest.raises(KripkitError) as e:
-        axiom_instances("nope")
-    assert e.value.code == "unknown-schema"
+    for count in (200, 0):
+        with pytest.raises(KripkitError) as e:
+            axiom_instances("nope", count=count)
+        assert e.value.code == "unknown-schema"
+
+
+def test_no_instances_or_formulas_below_one():
+    for schema in SCHEMAS:
+        for count in (0, -3):
+            assert axiom_instances(schema, count=count) == ()
+    for limit in (0, -3):
+        assert formula_pool(1, ("p",), ("a",), limit=limit) == ()
+    assert len(formula_pool(1, ("p",), ("a",))) == 12
+    assert len(formula_pool(1, ("p",), ("a",), limit=5)) == 5
 
 
 def test_schema_soundness_spot_check():
