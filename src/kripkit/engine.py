@@ -8,6 +8,14 @@ A program is a DAG of nodes over parallel arrays. Kinds:
   K_SSE  sse(a1=sender mask, a2=topic, a3=body)
   K_TOP  top (all-ones on every world)
 
+compile_program reads the sugared connectives (Or, Implies, Iff, K, Dhat,
+Bot) as they stand and emits the nodes of their core forms, as
+formula.desugar writes them, in the order a walk of the desugared formula
+would; no desugared copy is built. Nodes equal in kind and arguments are
+emitted once. The compiling and planning walks are module-level functions
+over an explicit context rather than closures that call themselves, so
+neither leaves a reference cycle for the cyclic collector.
+
 Models of one shape (n worlds, nag agents, nat atoms) are identified with
 indices of model_bits(n, nag, nat) bits. Layout, most significant bit first:
   relation bit for agent k, pair (u, v): position k*n*n + u*n + v
@@ -70,7 +78,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import and_
 
-from .formula import And, Atom, D, Eee, Formula, Not, See, Sse, desugar
+from .formula import (And, Atom, Bot, D, Dhat, Eee, Formula, Iff, Implies, K,
+                      Not, Or, See, Sse, Top)
+# not called here; kbench's trace sites read it as engine.desugar
+from .formula import desugar  # noqa: F401
 from .kripke_core import KripkitError, check_distinct
 
 K_ATOM, K_NOT, K_AND, K_D, K_EEE, K_SEE, K_SSE, K_TOP = range(8)
@@ -103,67 +114,107 @@ class Program:
 
 
 def compile_program(phi: Formula, agents, atoms) -> Program:
+    """phi's program over the rosters; it equals the program of
+    desugar(phi), which is not built (see the module docstring)."""
     agents = tuple(agents)
     atoms = tuple(atoms)
     check_distinct("agent", agents)
     check_distinct("atom", atoms)
-    apos = {a: i for i, a in enumerate(agents)}
-    tpos = {t: i for i, t in enumerate(atoms)}
-    kinds, a1, a2, a3 = [], [], [], []
-    dedup = {}
+    c = _Compile({t: i for i, t in enumerate(atoms)},
+                 {a: 1 << i for i, a in enumerate(agents)})
+    root = _compile(phi, c)
+    kinds, a1, a2, a3 = zip(*c.nodes)
+    return Program(kinds, a1, a2, a3, root, agents, atoms)
 
-    def emit(kind, x=0, y=0, z=0):
-        key = (kind, x, y, z)
-        got = dedup.get(key)
-        if got is not None:
-            return got
-        kinds.append(kind)
-        a1.append(x)
-        a2.append(y)
-        a3.append(z)
-        dedup[key] = len(kinds) - 1
-        return dedup[key]
 
-    def gmask(group):
-        m = 0
-        for ag in group:
-            if ag not in apos:
-                raise KripkitError("unknown-agent", ag)
-            m |= 1 << apos[ag]
-        return m
+class _Compile:
+    """One compile_program walk: the roster positions, every node emitted
+    so far and the node of every non-atom input node met."""
+    __slots__ = ("atoms", "agents", "nodes", "done")
 
-    # id of a core node -> its program node; the desugared root keeps every
-    # core node alive for the call
-    done = {}
+    def __init__(self, atoms, agents):
+        # atom -> index, agent -> mask bit
+        self.atoms, self.agents = atoms, agents
+        # (kind, a1, a2, a3) -> node number, in emission order
+        self.nodes = {}
+        # id of an input node -> its node; phi keeps every input node alive
+        # for the call
+        self.done = {}
 
-    def go(f):
-        if isinstance(f, Atom):
-            if f.name not in tpos:
-                raise KripkitError("unknown-atom", f.name)
-            return emit(K_ATOM, tpos[f.name])
-        got = done.get(id(f))
-        if got is not None:
-            return got
-        if isinstance(f, Not):
-            out = emit(K_NOT, go(f.sub))
-        elif isinstance(f, And):
-            out = emit(K_AND, go(f.left), go(f.right))
-        elif isinstance(f, D):
-            out = emit(K_D, gmask(f.group), go(f.sub))
-        elif isinstance(f, Eee):
-            out = emit(K_EEE, go(f.sub))
-        elif isinstance(f, See):
-            out = emit(K_SEE, gmask(f.group), go(f.sub))
-        elif isinstance(f, Sse):
-            out = emit(K_SSE, gmask(f.group), go(f.topic), go(f.sub))
-        else:  # Top, the last core node desugar leaves
-            out = emit(K_TOP)
-        done[id(f)] = out
-        return out
 
-    root = go(desugar(phi))
-    return Program(tuple(kinds), tuple(a1), tuple(a2), tuple(a3),
-                   root, agents, atoms)
+def _emit(c, kind, x=0, y=0, z=0):
+    nodes = c.nodes
+    return nodes.setdefault((kind, x, y, z), len(nodes))
+
+
+def _mask(c, group):
+    m = 0
+    for ag in group:
+        bit = c.agents.get(ag)
+        if bit is None:
+            raise KripkitError("unknown-agent", ag)
+        m |= bit
+    return m
+
+
+def _imp(c, a, b):
+    """The node of a -> b, that is ~(a & ~b), for nodes a and b."""
+    return _emit(c, K_NOT, _emit(c, K_AND, a, _emit(c, K_NOT, b)))
+
+
+def _compile(f, c):
+    if isinstance(f, Atom):
+        t = c.atoms.get(f.name)
+        if t is None:
+            raise KripkitError("unknown-atom", f.name)
+        return _emit(c, K_ATOM, t)
+    got = c.done.get(id(f))
+    if got is not None:
+        return got
+    # the cases follow formula._desugar, and each emits in the order a walk
+    # of its desugared form would: children first, left to right
+    if isinstance(f, Not):
+        out = _emit(c, K_NOT, _compile(f.sub, c))
+    elif isinstance(f, And):
+        out = _emit(c, K_AND, _compile(f.left, c), _compile(f.right, c))
+    elif isinstance(f, Or):  # ~(~a & ~b)
+        a = _emit(c, K_NOT, _compile(f.left, c))
+        out = _emit(c, K_NOT,
+                    _emit(c, K_AND, a, _emit(c, K_NOT, _compile(f.right, c))))
+    elif isinstance(f, Implies):
+        out = _imp(c, _compile(f.left, c), _compile(f.right, c))
+    elif isinstance(f, Iff):  # (a -> b) & (b -> a)
+        a, b = _compile(f.left, c), _compile(f.right, c)
+        out = _emit(c, K_AND, _imp(c, a, b), _imp(c, b, a))
+    elif isinstance(f, K):  # D{agent}
+        out = _emit(c, K_D, _mask(c, (f.agent,)), _compile(f.sub, c))
+    elif isinstance(f, D):
+        out = _emit(c, K_D, _mask(c, f.group), _compile(f.sub, c))
+    elif isinstance(f, Eee):
+        out = _emit(c, K_EEE, _compile(f.sub, c))
+    elif isinstance(f, See):
+        out = _emit(c, K_SEE, _mask(c, f.group), _compile(f.sub, c))
+    elif isinstance(f, Sse):
+        out = _emit(c, K_SSE, _mask(c, f.group), _compile(f.topic, c),
+                    _compile(f.sub, c))
+    elif isinstance(f, Dhat):
+        # formula.dhat_core: (chi -> D_G(chi -> psi))
+        #                    & (~chi -> D_G(~chi -> psi))
+        chi = _compile(f.topic, c)
+        g = _mask(c, f.group)
+        psi = _compile(f.sub, c)
+        yes = _imp(c, chi, _emit(c, K_D, g, _imp(c, chi, psi)))
+        no = _emit(c, K_NOT, chi)
+        out = _emit(c, K_AND, yes,
+                    _imp(c, no, _emit(c, K_D, g, _imp(c, no, psi))))
+    elif isinstance(f, Top):
+        out = _emit(c, K_TOP)
+    elif isinstance(f, Bot):  # ~Top
+        out = _emit(c, K_NOT, _emit(c, K_TOP))
+    else:
+        raise KripkitError("not-a-formula", repr(f))
+    c.done[id(f)] = out
+    return out
 
 
 def restrict_program(prog: Program) -> Program:
@@ -206,9 +257,18 @@ def model_bits(n: int, nag: int, nat: int) -> int:
     return n * n * nag + n * nat
 
 
+def _space_bits(n: int, nag: int, nat: int) -> int:
+    """model_bits of a space that is scanned or decoded; a model has at
+    least one world."""
+    if n < 1:
+        raise KripkitError("bounds-too-large",
+                           f"{n} worlds; a model has at least 1")
+    return model_bits(n, nag, nat)
+
+
 def decode_index(idx: int, n: int, nag: int, nat: int):
     """Relation rows and valuations of model idx < 2**B, as (rows, vals)."""
-    B = model_bits(n, nag, nat)
+    B = _space_bits(n, nag, nat)
     if not 0 <= idx < 1 << B:
         raise KripkitError("index-out-of-range",
                            f"model index {idx} outside [0, 2**{B}) "
@@ -246,72 +306,89 @@ def _projections(L):
     return out
 
 
+# the low index bits of a 2**L-lane block, highest first, for every L
+_LOW_BITS = tuple(_projections(L)[::-1] for L in range(LANE_BITS + 1))
+
+
 def _plan(prog):
     """The root's evaluation plan, as (steps, root register); each step
     (kind, out, x, y, z) writes register out (see the module docstring)."""
-    kinds, a1, a2, a3 = prog.kinds, prog.a1, prog.a2, prog.a3
-    nag = len(prog.agents)
-    # register 0 holds the block's frame, 1..nat its atom values, the next
-    # one R_G for the empty group and the one after it top; every later one
-    # is written by its step, in plan order
-    ones = 1 + len(prog.atoms)
-    steps = []
-    # (node, frame register), or a meet or frame key -> register
-    regs = {}
+    p = _Plan(prog)
+    return p.steps, _reg(prog.root, 0, p)
 
-    def emit(kind, x=0, y=0, z=0):
-        o = ones + 2 + len(steps)
-        steps.append((kind, o, x, y, z))
+
+class _Plan:
+    """One _plan walk: the program, the steps emitted so far and the
+    register of every (node, frame register) pair, meet and frame met."""
+    __slots__ = ("prog", "nag", "ones", "steps", "regs")
+
+    def __init__(self, prog):
+        self.prog = prog
+        self.nag = len(prog.agents)
+        # register 0 holds the block's frame, 1..nat its atom values, the
+        # next one R_G for the empty group and the one after it top; every
+        # later one is written by its step, in plan order
+        self.ones = 1 + len(prog.atoms)
+        self.steps = []
+        # (node, frame register), or a meet or frame key -> register
+        self.regs = {}
+
+
+def _step(p, kind, x=0, y=0, z=0):
+    o = p.ones + 2 + len(p.steps)
+    p.steps.append((kind, o, x, y, z))
+    return o
+
+
+def _once(p, key, kind, x=0, y=0, z=0):
+    o = p.regs.get(key)
+    if o is None:
+        o = p.regs[key] = _step(p, kind, x, y, z)
+    return o
+
+
+def _meet(p, g, f):
+    """Register of R_G(u, v) for every pair in frame register f."""
+    ks = tuple(k for k in range(p.nag) if (g >> k) & 1)
+    if not ks:
+        return p.ones
+    return _once(p, ("meet", g, f), K_MEET, f, ks)
+
+
+def _reg(i, f, p):
+    """Register of node i on frame register f."""
+    prog = p.prog
+    k = prog.kinds[i]
+    if k == K_ATOM:
+        return 1 + prog.a1[i]
+    if k == K_TOP:
+        return p.ones + 1
+    o = p.regs.get((i, f))
+    if o is not None:
         return o
-
-    def once(key, *step):
-        o = regs.get(key)
-        if o is None:
-            o = regs[key] = emit(*step)
-        return o
-
-    def meet(g, f):
-        """Register of R_G(u, v) for every pair in frame register f."""
-        ks = tuple(k for k in range(nag) if (g >> k) & 1)
-        if not ks:
-            return ones
-        return once(("meet", g, f), K_MEET, f, ks)
-
-    def node(i, f):
-        o = regs.get((i, f))
-        if o is None:
-            o = regs[i, f] = build(i, f)
-        return o
-
-    def build(i, f):
-        k = kinds[i]
-        if k == K_ATOM:
-            return 1 + a1[i]
-        if k == K_NOT:
-            return emit(K_NOT, node(a1[i], f))
-        if k == K_AND:
-            return emit(K_AND, node(a1[i], f), node(a2[i], f))
-        if k == K_D:
-            if a1[i] == 0:
-                raise KripkitError("empty-group", "D node with empty mask")
-            return emit(K_D, node(a2[i], f), meet(a1[i], f))
-        if k == K_EEE:
-            m = meet((1 << nag) - 1, f)
-            return node(a1[i], once(("eee", f), K_EEE, m))
-        if k == K_SEE:
-            g = a1[i]
-            return node(a2[i], once(("see", g, f), K_SEE, f, meet(g, f)))
-        if k == K_SSE:
-            s = a1[i]
-            t, m = node(a2[i], f), meet(s, f)
-            senders = tuple(j for j in range(nag) if (s >> j) & 1)
-            return node(a3[i],
-                        once(("sse", s, t, f), K_SSE, f, t, (m, senders)))
-        if k == K_TOP:
-            return ones + 1
+    x, y = prog.a1[i], prog.a2[i]
+    if k == K_NOT:
+        o = _step(p, K_NOT, _reg(x, f, p))
+    elif k == K_AND:
+        o = _step(p, K_AND, _reg(x, f, p), _reg(y, f, p))
+    elif k == K_D:
+        if x == 0:
+            raise KripkitError("empty-group", "D node with empty mask")
+        o = _step(p, K_D, _reg(y, f, p), _meet(p, x, f))
+    elif k == K_EEE:
+        m = _meet(p, (1 << p.nag) - 1, f)
+        o = _reg(x, _once(p, ("eee", f), K_EEE, m), p)
+    elif k == K_SEE:
+        o = _reg(y, _once(p, ("see", x, f), K_SEE, f, _meet(p, x, f)), p)
+    elif k == K_SSE:
+        t, m = _reg(y, f, p), _meet(p, x, f)
+        senders = tuple(j for j in range(p.nag) if (x >> j) & 1)
+        o = _reg(prog.a3[i],
+                 _once(p, ("sse", x, t, f), K_SSE, f, t, (m, senders)), p)
+    else:
         raise KripkitError("unknown-schema", f"bad node kind {k}")
-
-    return steps, node(prog.root, 0)
+    p.regs[i, f] = o
+    return o
 
 
 def _scan(prog: Program, n: int, start: int, stop: int):
@@ -329,7 +406,7 @@ def _scan(prog: Program, n: int, start: int, stop: int):
     L = min(n * nat, LANE_BITS, (stop - start).bit_length() - 1)
     width = 1 << L
     lanes = (1 << width) - 1
-    low = _projections(L)[::-1]
+    low = _LOW_BITS[L]
     high = range(B - 1, L - 1, -1)
     init = ([None] * (1 + nat) + [[lanes] * nn, [lanes] * n]
             + [None] * len(steps))
@@ -409,7 +486,7 @@ def run_range(prog: Program, n: int, start: int, stop: int):
     """First failure among model indices [start, stop), as
     (index, world, checked) or (-1, -1, checked); both ends lie in
     [0, 2**B]."""
-    B = model_bits(n, len(prog.agents), len(prog.atoms))
+    B = _space_bits(n, len(prog.agents), len(prog.atoms))
     if not (0 <= start <= 1 << B and 0 <= stop <= 1 << B):
         raise KripkitError("index-out-of-range",
                            f"range [{start}, {stop}) outside [0, 2**{B}] "
@@ -420,7 +497,7 @@ def run_range(prog: Program, n: int, start: int, stop: int):
 def run_one(prog: Program, n: int, idx: int):
     """Smallest world where the root fails on model idx, or -1; idx lies
     in [0, 2**B)."""
-    B = model_bits(n, len(prog.agents), len(prog.atoms))
+    B = _space_bits(n, len(prog.agents), len(prog.atoms))
     if not 0 <= idx < 1 << B:
         raise KripkitError("index-out-of-range",
                            f"model index {idx} outside [0, 2**{B}) "

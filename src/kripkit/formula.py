@@ -309,41 +309,52 @@ def c_greater(phi1: Formula, phi2: Formula) -> bool:
 
 # -- concrete syntax --
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<kop>K_(?P<kagent>[a-z][a-z0-9_]*))
-  | (?P<dhat>Dhat(?=\{))
-  | (?P<dop>D(?=\{))
-  | (?P<iff><->)
-  | (?P<imp>->)
-  | (?P<sym>[~&|(){}\[\],])
-  | (?P<ident>[a-z][a-z0-9_]*)
-""", re.VERBOSE)
+# one token after optional whitespace; the alternatives are tried in order
+_TOKEN_RE = re.compile(r"""\s*(
+    K_[a-z][a-z0-9_]*
+  | Dhat(?=\{) | D(?=\{)
+  | <-> | ->
+  | [~&|(){}\[\],]
+  | [a-z][a-z0-9_]*
+)""", re.VERBOSE)
+_SPACE_RE = re.compile(r"\s*")
+# token text -> kind, for the tokens that are not K_agent or identifiers
+_KINDS = {"Dhat": "dhat", "D": "dop", "<->": "iff", "->": "imp"}
+_KINDS.update((s, s) for s in "~&|(){}[],")
+
 
 def _tokenize(text: str):
-    toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise KripkitError("syntax-error",
-                               f"position {pos}: unexpected character {text[pos]!r}")
-        if m.lastgroup != "ws":
-            kind = m.lastgroup
-            val = m.group()
-            if kind == "kop":
-                toks.append(("kop", m.group("kagent"), pos))
-            elif kind == "sym":
-                toks.append((val, val, pos))
-            else:
-                toks.append((kind, val, pos))
-        pos = m.end()
-    toks.append(("eof", "", len(text)))
-    return toks
+    """(kind, value) pairs, ending with ("eof", ""); a K_agent token has
+    the agent as its value.
+
+    findall skips what no token matches, so the text is tokenized exactly
+    when the tokens make up all of it but its whitespace."""
+    toks = _TOKEN_RE.findall(text)
+    if "".join(toks) != "".join(text.split()):
+        pos = 0
+        for m in _TOKEN_RE.finditer(text):
+            if m.start() != pos:
+                break
+            pos = m.end()
+        pos = _SPACE_RE.match(text, pos).end()
+        raise KripkitError("syntax-error",
+                           f"position {pos}: unexpected character {text[pos]!r}")
+    out = []
+    for t in toks:
+        kind = _KINDS.get(t)
+        if kind is not None:
+            out.append((kind, t))
+        elif t[0] == "K":
+            out.append(("kop", t[2:]))
+        else:
+            out.append(("ident", t))
+    out.append(("eof", ""))
+    return out
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
 
@@ -355,11 +366,20 @@ class _Parser:
         self.i += 1
         return t
 
+    def error(self, code, message, i=None):
+        """KripkitError at token i (by default the last one taken), with
+        its position in the text, found only here."""
+        if i is None:
+            i = self.i - 1
+        starts = [m.start(1) for m in _TOKEN_RE.finditer(self.text)]
+        pos = starts[i] if i < len(starts) else len(self.text)
+        return KripkitError(code, f"position {pos}: {message}")
+
     def expect(self, kind):
         t = self.next()
         if t[0] != kind:
-            raise KripkitError("syntax-error",
-                               f"position {t[2]}: expected {kind!r}, got {t[1]!r}")
+            raise self.error("syntax-error",
+                             f"expected {kind!r}, got {t[1]!r}")
         return t
 
     # precedence: <-> < -> < | < & < unary
@@ -401,30 +421,29 @@ class _Parser:
         return frozenset(agents)
 
     def unary(self) -> Formula:
-        t = self.peek()
-        kind = t[0]
+        at = self.i
+        kind, value = self.toks[at]
         if kind == "~":
             self.next()
             return Not(self.unary())
         if kind == "kop":
             self.next()
-            return K(t[1], self.unary())
+            return K(value, self.unary())
         if kind == "dop":
             self.next()
             self.expect("{")
             g = self.agent_list()
             self.expect("}")
             if not g:
-                raise KripkitError("empty-group",
-                                   f"position {t[2]}: D{{}} is not a modality")
+                raise self.error("empty-group", "D{} is not a modality", at)
             return D(g, self.unary())
         if kind == "dhat":
             self.next()
             self.expect("{")
             g = self.agent_list()
             if not g:
-                raise KripkitError("empty-group",
-                                   f"position {t[2]}: Dhat{{}} is not a modality")
+                raise self.error("empty-group", "Dhat{} is not a modality",
+                                 at)
             self.expect("|")
             chi = self.formula()
             self.expect("}")
@@ -445,8 +464,7 @@ class _Parser:
                 chi = self.formula()
                 self.expect("]")
                 return Sse(g, chi, self.unary())
-            raise KripkitError("syntax-error",
-                               f"position {op[2]}: unknown operator [{op[1]}]")
+            raise self.error("syntax-error", f"unknown operator [{op[1]}]")
         return self.primary()
 
     def primary(self) -> Formula:
@@ -462,8 +480,7 @@ class _Parser:
             inner = self.formula()
             self.expect(")")
             return inner
-        raise KripkitError("syntax-error",
-                           f"position {t[2]}: expected a formula, got {t[1]!r}")
+        raise self.error("syntax-error", f"expected a formula, got {t[1]!r}")
 
 
 def parse(text: str) -> Formula:
@@ -471,8 +488,7 @@ def parse(text: str) -> Formula:
     out = p.formula()
     t = p.peek()
     if t[0] != "eof":
-        raise KripkitError("syntax-error",
-                           f"position {t[2]}: trailing input {t[1]!r}")
+        raise p.error("syntax-error", f"trailing input {t[1]!r}", p.i)
     return out
 
 

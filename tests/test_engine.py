@@ -1,13 +1,18 @@
+import gc
 import hashlib
 import random
 
 import pytest
 
-from kripkit import (And, Atom, D, Eee, Iff, K, KripkitError, Not, Or, See,
-                     Sse, ndc, translate)
+from kripkit import (And, Atom, Bot, D, Dhat, Eee, Iff, Implies, K,
+                     KripkitError, Model, Not, Or, SearchBounds, See, Sse, Top,
+                     check_validity, desugar, ndc, parse, translate,
+                     translate_traced)
 from kripkit import engine
 from kripkit.engine import (K_ATOM, K_D, K_EEE, K_SEE, K_SSE, Program,
-                            backend_name, compile_program, run_one, run_range)
+                            backend_name, compile_program, decode_index,
+                            run_one, run_range)
+from kripkit.validity import enumerate_models
 from kripkit.semantics import truth_mask
 from kripkit.validity import decode_model, model_bits
 
@@ -370,3 +375,113 @@ def test_duplicate_roster_entries_rejected():
         with pytest.raises(KripkitError) as e:
             compile_program(Atom("p"), agents, atoms)
         assert e.value.code == "duplicate-roster-entry"
+
+
+@pytest.mark.parametrize("call", [
+    lambda prog: run_range(prog, 0, 0, 1),
+    lambda prog: run_range(prog, -1, 0, 0),
+    lambda prog: run_one(prog, 0, 0),
+    lambda prog: decode_index(0, 0, 1, 1),
+    lambda prog: decode_index(0, -1, 1, 1),
+    lambda prog: decode_model(0, 0, ("a",), ("p",)),
+    lambda prog: next(enumerate_models(0, ("a",), ("p",))),
+], ids=["run_range", "run_range-negative", "run_one", "decode_index",
+        "decode_index-negative", "decode_model", "enumerate_models"])
+def test_world_counts_below_one_are_refused(call):
+    prog = compile_program(Atom("p"), ("a",), ("p",))
+    with pytest.raises(KripkitError) as e:
+        call(prog)
+    assert e.value.code == "bounds-too-large"
+
+
+# every sugared and core constructor, over children drawn from a pool so
+# that one object sits under several parents
+_BUILDERS = [
+    lambda rng, a, b: Not(a),
+    lambda rng, a, b: And(a, b),
+    lambda rng, a, b: Or(a, b),
+    lambda rng, a, b: Implies(a, b),
+    lambda rng, a, b: Iff(a, b),
+    lambda rng, a, b: K(rng.choice(AGENTS), a),
+    lambda rng, a, b: D(_group(rng, AGENTS) or AGENTS, a),
+    lambda rng, a, b: Eee(a),
+    lambda rng, a, b: See(_group(rng, AGENTS), a),
+    lambda rng, a, b: Sse(_group(rng, AGENTS), a, b),
+    lambda rng, a, b: Dhat(_group(rng, AGENTS) or AGENTS, a, b),
+]
+
+
+def test_compiling_sugar_equals_compiling_its_core_form():
+    # compile_program reads Or, Implies, Iff, K, Dhat and Bot itself and
+    # emits the nodes desugar(phi) gives, in the same order
+    rng = random.Random(2718)
+    met = set()
+    for trial in range(400):
+        pool = [gen.random_formula(rng, rng.randint(0, 3), ATOMS, AGENTS)
+                for _ in range(3)] + [Top(), Bot()]
+        for _ in range(rng.randint(1, 6)):
+            build = rng.choice(_BUILDERS)
+            pool.append(build(rng, rng.choice(pool), rng.choice(pool)))
+        phi = pool[-1] if trial % 2 else And(pool[-1], rng.choice(pool))
+        met.update(type(f) for f in pool)
+        got = compile_program(phi, AGENTS, ATOMS)
+        assert got == compile_program(desugar(phi), AGENTS, ATOMS), phi
+    assert met == {Atom, Top, Bot, Not, And, Or, Implies, Iff, K, D, Eee,
+                   See, Sse, Dhat}
+
+
+def test_a_non_formula_and_an_unknown_name_report_the_first_met():
+    # the walk that compiles reports whichever it meets first, left to
+    # right; desugaring the whole formula first gave not-a-formula for both
+    bounds = SearchBounds(1, ("a",), ("p",))
+    for phi, code in ((And(Atom("z"), 3), "unknown-atom"),
+                      (And(K("b", Atom("p")), 3), "unknown-agent"),
+                      (And(3, Atom("z")), "not-a-formula"),
+                      (Or(Atom("p"), 3), "not-a-formula")):
+        with pytest.raises(KripkitError) as e:
+            check_validity(phi, bounds)
+        assert e.value.code == code, phi
+
+
+def _raises(code, call, *args):
+    try:
+        call(*args)
+    except KripkitError as e:
+        assert e.code == code
+    else:
+        raise AssertionError(f"no {code}")
+
+
+def test_checks_leave_no_cyclic_garbage():
+    # compiling and planning walk with explicit context arguments, so a
+    # check leaves nothing for the cyclic collector
+    model = Model.build(("w0", "w1"), AGENTS, ATOMS,
+                        {"a": {("w0", "w1")}, "b": set()}, {"p": {"w1"}})
+    empty_d = Program(kinds=(K_ATOM, K_D), a1=(0, 0), a2=(0, 0), a3=(0, 0),
+                      root=1, agents=AGENTS, atoms=ATOMS)
+    exhaustive = SearchBounds(2, AGENTS, ATOMS)
+    sampled = SearchBounds(3, AGENTS, ATOMS, sample=50, seed=7)
+    calls = [
+        lambda: check_validity(parse("K_a p -> p"), exhaustive),
+        lambda: check_validity(parse("Dhat{a | q} p -> D{a,b} p"),
+                               exhaustive),
+        lambda: check_validity(parse("[sse a | q] K_b p <-> K_b p"),
+                               sampled),
+        lambda: check_validity(parse("[eee] (p | ~p)"), sampled),
+        lambda: _raises("unknown-atom", check_validity, parse("K_a z"),
+                        exhaustive),
+        lambda: _raises("empty-group", run_range, empty_d, 1, 0, 4),
+        lambda: _raises("syntax-error", parse, "p & $"),
+        lambda: translate_traced(parse("[see a] K_b p & [eee] q"), AGENTS),
+        lambda: truth_mask(model, parse("Dhat{a,b | q} ~p | K_a p")),
+    ]
+    for call in calls:  # first calls may fill caches
+        call()
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -89,6 +89,40 @@ def test_syntax_error_reports_position():
     assert "position 4" in str(e.value)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("p & $", "syntax-error: position 4: unexpected character '$'"),
+    ("K_ p", "syntax-error: position 0: unexpected character 'K'"),
+    ("K_A p", "syntax-error: position 0: unexpected character 'K'"),
+    ("D p", "syntax-error: position 0: unexpected character 'D'"),
+    ("p <- q", "syntax-error: position 2: unexpected character '<'"),
+    ("x_1 & X", "syntax-error: position 6: unexpected character 'X'"),
+    ("p &\xa0q \xa0#", "syntax-error: position 7: unexpected character '#'"),
+    ("\u00e9", "syntax-error: position 0: unexpected character '\u00e9'"),
+    ("p q", "syntax-error: position 2: trailing input 'q'"),
+    ("  p  q ", "syntax-error: position 5: trailing input 'q'"),
+    ("p,q", "syntax-error: position 1: trailing input ','"),
+    ("(p", "syntax-error: position 2: expected ')', got ''"),
+    ("p &  ", "syntax-error: position 5: expected a formula, got ''"),
+    ("p\t&\n~", "syntax-error: position 5: expected a formula, got ''"),
+    ("", "syntax-error: position 0: expected a formula, got ''"),
+    ("()", "syntax-error: position 1: expected a formula, got ')'"),
+    ("p & & q", "syntax-error: position 4: expected a formula, got '&'"),
+    ("D{a,} p", "syntax-error: position 4: expected 'ident', got '}'"),
+    ("[sse a] p", "syntax-error: position 6: expected '|', got ']'"),
+    ("[sse a | p q", "syntax-error: position 11: expected ']', got 'q'"),
+    ("Dhat{a | p q", "syntax-error: position 11: expected '}', got 'q'"),
+    ("[bogus] p", "syntax-error: position 1: unknown operator [bogus]"),
+    ("D{} p", "empty-group: position 0: D{} is not a modality"),
+    ("Dhat{ | p} q", "empty-group: position 0: Dhat{} is not a modality"),
+])
+def test_syntax_error_messages_are_pinned(text, message):
+    # codes and messages as the tokenizer that matched one token at a time
+    # gave them
+    with pytest.raises(KripkitError) as e:
+        parse(text)
+    assert str(e.value) == message
+
+
 def test_empty_groups_rejected():
     for bad in ("D{} p", "Dhat{ | p} q"):
         with pytest.raises(KripkitError) as e:
