@@ -8,13 +8,8 @@ A program is a DAG of nodes over parallel arrays. Kinds:
   K_SSE  sse(a1=sender mask, a2=topic, a3=body)
   K_TOP  top (all-ones on every world)
 
-compile_program reads the sugared connectives (Or, Implies, Iff, K, Dhat,
-Bot) as they stand and emits the nodes of their core forms, as
-formula.desugar writes them, in the order a walk of the desugared formula
-would; no desugared copy is built. Nodes equal in kind and arguments are
-emitted once. The compiling and planning walks are module-level functions
-over an explicit context rather than closures that call themselves, so
-neither leaves a reference cycle for the cyclic collector.
+compile_program emits phi's core form through formula.core_form, the
+rewrite desugar runs, one node per distinct kind and arguments.
 
 Models of one shape (n worlds, nag agents, nat atoms) are identified with
 indices of model_bits(n, nag, nat) bits. Layout, most significant bit first:
@@ -78,8 +73,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import and_
 
-from .formula import (And, Atom, Bot, D, Dhat, Eee, Formula, Iff, Implies, K,
-                      Not, Or, See, Sse, Top)
+from .formula import And, D, Eee, Formula, Not, See, Sse, Top, core_form
 # not called here; kbench's trace sites read it as engine.desugar
 from .formula import desugar  # noqa: F401
 from .kripke_core import KripkitError, check_distinct
@@ -122,99 +116,49 @@ def compile_program(phi: Formula, agents, atoms) -> Program:
     check_distinct("atom", atoms)
     c = _Compile({t: i for i, t in enumerate(atoms)},
                  {a: 1 << i for i, a in enumerate(agents)})
-    root = _compile(phi, c)
+    root = core_form(phi, c, {})
     kinds, a1, a2, a3 = zip(*c.nodes)
     return Program(kinds, a1, a2, a3, root, agents, atoms)
 
 
+# the node kind of each core class core_form emits
+_KIND = {Not: K_NOT, And: K_AND, D: K_D, Eee: K_EEE, See: K_SEE, Sse: K_SSE}
+
+
 class _Compile:
-    """One compile_program walk: the roster positions, every node emitted
-    so far and the node of every non-atom input node met."""
-    __slots__ = ("atoms", "agents", "nodes", "done")
+    """core_form's target for one compile_program call: the roster
+    positions and every node emitted so far."""
+    __slots__ = ("atoms", "agents", "nodes")
 
     def __init__(self, atoms, agents):
         # atom -> index, agent -> mask bit
         self.atoms, self.agents = atoms, agents
         # (kind, a1, a2, a3) -> node number, in emission order
         self.nodes = {}
-        # id of an input node -> its node; phi keeps every input node alive
-        # for the call
-        self.done = {}
 
+    def emit(self, cls, x=0, y=0, z=0):
+        nodes = self.nodes
+        return nodes.setdefault((_KIND[cls], x, y, z), len(nodes))
 
-def _emit(c, kind, x=0, y=0, z=0):
-    nodes = c.nodes
-    return nodes.setdefault((kind, x, y, z), len(nodes))
+    def atom(self, f):
+        if isinstance(f, Top):
+            key = (K_TOP, 0, 0, 0)
+        else:
+            t = self.atoms.get(f.name)
+            if t is None:
+                raise KripkitError("unknown-atom", f.name)
+            key = (K_ATOM, t, 0, 0)
+        nodes = self.nodes
+        return nodes.setdefault(key, len(nodes))
 
-
-def _mask(c, group):
-    m = 0
-    for ag in group:
-        bit = c.agents.get(ag)
-        if bit is None:
-            raise KripkitError("unknown-agent", ag)
-        m |= bit
-    return m
-
-
-def _imp(c, a, b):
-    """The node of a -> b, that is ~(a & ~b), for nodes a and b."""
-    return _emit(c, K_NOT, _emit(c, K_AND, a, _emit(c, K_NOT, b)))
-
-
-def _compile(f, c):
-    if isinstance(f, Atom):
-        t = c.atoms.get(f.name)
-        if t is None:
-            raise KripkitError("unknown-atom", f.name)
-        return _emit(c, K_ATOM, t)
-    got = c.done.get(id(f))
-    if got is not None:
-        return got
-    # the cases follow formula._desugar, and each emits in the order a walk
-    # of its desugared form would: children first, left to right
-    if isinstance(f, Not):
-        out = _emit(c, K_NOT, _compile(f.sub, c))
-    elif isinstance(f, And):
-        out = _emit(c, K_AND, _compile(f.left, c), _compile(f.right, c))
-    elif isinstance(f, Or):  # ~(~a & ~b)
-        a = _emit(c, K_NOT, _compile(f.left, c))
-        out = _emit(c, K_NOT,
-                    _emit(c, K_AND, a, _emit(c, K_NOT, _compile(f.right, c))))
-    elif isinstance(f, Implies):
-        out = _imp(c, _compile(f.left, c), _compile(f.right, c))
-    elif isinstance(f, Iff):  # (a -> b) & (b -> a)
-        a, b = _compile(f.left, c), _compile(f.right, c)
-        out = _emit(c, K_AND, _imp(c, a, b), _imp(c, b, a))
-    elif isinstance(f, K):  # D{agent}
-        out = _emit(c, K_D, _mask(c, (f.agent,)), _compile(f.sub, c))
-    elif isinstance(f, D):
-        out = _emit(c, K_D, _mask(c, f.group), _compile(f.sub, c))
-    elif isinstance(f, Eee):
-        out = _emit(c, K_EEE, _compile(f.sub, c))
-    elif isinstance(f, See):
-        out = _emit(c, K_SEE, _mask(c, f.group), _compile(f.sub, c))
-    elif isinstance(f, Sse):
-        out = _emit(c, K_SSE, _mask(c, f.group), _compile(f.topic, c),
-                    _compile(f.sub, c))
-    elif isinstance(f, Dhat):
-        # formula.dhat_core: (chi -> D_G(chi -> psi))
-        #                    & (~chi -> D_G(~chi -> psi))
-        chi = _compile(f.topic, c)
-        g = _mask(c, f.group)
-        psi = _compile(f.sub, c)
-        yes = _imp(c, chi, _emit(c, K_D, g, _imp(c, chi, psi)))
-        no = _emit(c, K_NOT, chi)
-        out = _emit(c, K_AND, yes,
-                    _imp(c, no, _emit(c, K_D, g, _imp(c, no, psi))))
-    elif isinstance(f, Top):
-        out = _emit(c, K_TOP)
-    elif isinstance(f, Bot):  # ~Top
-        out = _emit(c, K_NOT, _emit(c, K_TOP))
-    else:
-        raise KripkitError("not-a-formula", repr(f))
-    c.done[id(f)] = out
-    return out
+    def group(self, g):
+        m = 0
+        for ag in g:
+            bit = self.agents.get(ag)
+            if bit is None:
+                raise KripkitError("unknown-agent", ag)
+            m |= bit
+        return m
 
 
 def restrict_program(prog: Program) -> Program:
@@ -319,7 +263,9 @@ def _plan(prog):
 
 class _Plan:
     """One _plan walk: the program, the steps emitted so far and the
-    register of every (node, frame register) pair, meet and frame met."""
+    register of every (node, frame register) pair, meet and frame met. The
+    walk's functions take it as an argument, so no closure calls itself
+    and a plan leaves no reference cycle."""
     __slots__ = ("prog", "nag", "ones", "steps", "regs")
 
     def __init__(self, prog):

@@ -1,9 +1,11 @@
 """Formula AST, concrete syntax, derived connectives, complexity measures.
 
 Core constructors: Atom, Top, Not, And, D, Eee, See, Sse. Everything else
-(Bot, Or, Implies, Iff, K, Dhat) desugars into the core. The measures
-nsc/ndc treat Or/Implies/Iff as primitive binaries and Dhat as a primitive
-so that the reduction bookkeeping stays strictly decreasing.
+(Bot, Or, Implies, Iff, K, Dhat) is sugar, rewritten into the core by
+core_form, the one rewrite: desugar runs it to build formulas and
+engine.compile_program to emit program nodes. The measures nsc/ndc treat
+Or/Implies/Iff as primitive binaries and Dhat as a primitive so that the
+reduction bookkeeping stays strictly decreasing.
 """
 from __future__ import annotations
 
@@ -175,13 +177,12 @@ def agents_of(phi: Formula) -> frozenset:
 
 def imp_core(a: Formula, b: Formula) -> Formula:
     """Core form of a -> b."""
-    return Not(And(a, Not(b)))
+    return _imp(_Formulas, a, b)
 
 
 def dhat_core(group, chi: Formula, psi: Formula) -> Formula:
     """Core expansion of the conditional distributed-knowledge operator."""
-    return And(imp_core(chi, D(group, imp_core(chi, psi))),
-               imp_core(Not(chi), D(group, imp_core(Not(chi), psi))))
+    return _dhat(_Formulas, group, chi, psi)
 
 
 def desugar(phi: Formula) -> Formula:
@@ -191,50 +192,88 @@ def desugar(phi: Formula) -> Formula:
     Each node object is rewritten once per call, so a shared input gives a
     shared output.
     """
-    return _desugar(phi, {})
+    return core_form(phi, _Formulas, {})
 
 
-def _desugar(phi: Formula, memo: dict) -> Formula:
-    # memo: id of an input node -> its core form; the root keeps every
-    # input node alive for the call
-    if isinstance(phi, Atom):
-        return phi
-    got = memo.get(id(phi))
+class _Formulas:
+    """core_form's target that builds the core formula itself."""
+
+    @staticmethod
+    def emit(cls, *args):
+        return cls(*args)
+
+    @staticmethod
+    def atom(f):
+        return f
+
+    group = atom
+
+
+def _imp(t, a, b):
+    """a -> b, that is ~(a & ~b), through target t."""
+    emit = t.emit
+    return emit(Not, emit(And, a, emit(Not, b)))
+
+
+def _dhat(t, g, chi, psi):
+    """(chi -> D_G(chi -> psi)) & (~chi -> D_G(~chi -> psi)) through target
+    t; ~chi is emitted at each of its two places, so the formula form holds
+    two equal ~chi objects."""
+    emit = t.emit
+    return emit(And, _imp(t, chi, emit(D, g, _imp(t, chi, psi))),
+                _imp(t, emit(Not, chi),
+                     emit(D, g, _imp(t, emit(Not, chi), psi))))
+
+
+def core_form(f: Formula, t, done: dict):
+    """The core form of f, built through target t.
+
+    t.emit(cls, *args) makes a core node of class cls (Not, And, D, Eee,
+    See or Sse), t.atom(f) makes the node of an Atom or Top and t.group(g)
+    the argument of a group. Children are rewritten left to right, a group
+    before the child it binds (for Dhat: topic, group, body), so nodes are
+    emitted, and errors met, in the order of a walk over the desugared
+    formula. done maps the id of each other input node met to its output;
+    f keeps those nodes alive for the call.
+    """
+    if isinstance(f, (Atom, Top)):
+        return t.atom(f)
+    got = done.get(id(f))
     if got is not None:
         return got
-    if isinstance(phi, Not):
-        out = Not(_desugar(phi.sub, memo))
-    elif isinstance(phi, And):
-        out = And(_desugar(phi.left, memo), _desugar(phi.right, memo))
-    elif isinstance(phi, Or):
-        out = Not(And(Not(_desugar(phi.left, memo)),
-                      Not(_desugar(phi.right, memo))))
-    elif isinstance(phi, Implies):
-        out = imp_core(_desugar(phi.left, memo), _desugar(phi.right, memo))
-    elif isinstance(phi, Iff):
-        a, b = _desugar(phi.left, memo), _desugar(phi.right, memo)
-        out = And(imp_core(a, b), imp_core(b, a))
-    elif isinstance(phi, K):
-        out = D(frozenset([phi.agent]), _desugar(phi.sub, memo))
-    elif isinstance(phi, D):
-        out = D(phi.group, _desugar(phi.sub, memo))
-    elif isinstance(phi, Eee):
-        out = Eee(_desugar(phi.sub, memo))
-    elif isinstance(phi, See):
-        out = See(phi.group, _desugar(phi.sub, memo))
-    elif isinstance(phi, Sse):
-        out = Sse(phi.group, _desugar(phi.topic, memo),
-                  _desugar(phi.sub, memo))
-    elif isinstance(phi, Dhat):
-        out = dhat_core(phi.group, _desugar(phi.topic, memo),
-                        _desugar(phi.sub, memo))
-    elif isinstance(phi, Top):
-        return phi
-    elif isinstance(phi, Bot):
-        out = Not(Top())
+    emit = t.emit
+    if isinstance(f, Not):
+        out = emit(Not, core_form(f.sub, t, done))
+    elif isinstance(f, And):
+        out = emit(And, core_form(f.left, t, done),
+                   core_form(f.right, t, done))
+    elif isinstance(f, Or):  # ~(~a & ~b)
+        out = emit(Not, emit(And, emit(Not, core_form(f.left, t, done)),
+                             emit(Not, core_form(f.right, t, done))))
+    elif isinstance(f, Implies):
+        out = _imp(t, core_form(f.left, t, done), core_form(f.right, t, done))
+    elif isinstance(f, Iff):  # (a -> b) & (b -> a)
+        a, b = core_form(f.left, t, done), core_form(f.right, t, done)
+        out = emit(And, _imp(t, a, b), _imp(t, b, a))
+    elif isinstance(f, K):  # D{agent}
+        out = emit(D, t.group((f.agent,)), core_form(f.sub, t, done))
+    elif isinstance(f, D):
+        out = emit(D, t.group(f.group), core_form(f.sub, t, done))
+    elif isinstance(f, Eee):
+        out = emit(Eee, core_form(f.sub, t, done))
+    elif isinstance(f, See):
+        out = emit(See, t.group(f.group), core_form(f.sub, t, done))
+    elif isinstance(f, Sse):
+        out = emit(Sse, t.group(f.group), core_form(f.topic, t, done),
+                   core_form(f.sub, t, done))
+    elif isinstance(f, Dhat):
+        chi = core_form(f.topic, t, done)
+        out = _dhat(t, t.group(f.group), chi, core_form(f.sub, t, done))
+    elif isinstance(f, Bot):  # ~Top, with a Top of its own
+        out = emit(Not, t.atom(Top()))
     else:
-        raise KripkitError("not-a-formula", repr(phi))
-    memo[id(phi)] = out
+        raise KripkitError("not-a-formula", repr(f))
+    done[id(f)] = out
     return out
 
 
@@ -252,7 +291,10 @@ _PAIRS: dict = {}
 
 def _measures(phi: Formula) -> tuple:
     """(ndc, nsc) of phi, cached on each node."""
-    got = phi._measures_
+    try:
+        got = phi._measures_
+    except AttributeError:
+        raise KripkitError("not-a-formula", repr(phi)) from None
     if got is not None:
         return got
     if isinstance(phi, (Atom, Top)):
@@ -278,7 +320,7 @@ def _measures(phi: Formula) -> tuple:
         ds, ss = _measures(phi.sub)
         pair = (max(dt, ds), 7 + ss)
     else:
-        raise TypeError(type(phi))
+        raise KripkitError("not-a-formula", repr(phi))
     pair = _PAIRS.setdefault(pair, pair)
     object.__setattr__(phi, _MEASURES, pair)
     return pair
@@ -301,7 +343,11 @@ def complexity(phi: Formula) -> Complexity:
 
 def c_greater(phi1: Formula, phi2: Formula) -> bool:
     """Lexicographic (ndc, nsc) strict order."""
-    a, b = phi1._measures_, phi2._measures_
+    try:
+        a, b = phi1._measures_, phi2._measures_
+    except AttributeError:
+        bad = phi2 if isinstance(phi1, Formula) else phi1
+        raise KripkitError("not-a-formula", repr(bad)) from None
     if a is None or b is None:
         return _measures(phi1) > _measures(phi2)
     return a > b

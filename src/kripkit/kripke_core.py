@@ -253,15 +253,15 @@ def relation_properties(rel: Relation, n_worlds: int) -> dict:
 
 # -- text format --
 
-_KEYS = ("worlds", "agents", "atoms", "rel", "val", "point")
+# the keys a model text gives on one line each; rel and val lines add up
+_ONCE = ("worlds", "agents", "atoms", "point")
 
 
 def parse_model(text: str):
     """Parse the line-based model format. Returns (Model, point_index_or_None)."""
-    worlds = agents = atoms = None
+    once = {}
     rels = {}
     vals = {}
-    point = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -271,12 +271,14 @@ def parse_model(text: str):
         head, _, rest = line.partition(":")
         head = head.strip()
         toks = rest.split()
-        if head == "worlds":
-            worlds = toks
-        elif head == "agents":
-            agents = toks
-        elif head == "atoms":
-            atoms = toks
+        if head in _ONCE:
+            if head in once:
+                raise KripkitError("syntax-error",
+                                   f"line {lineno}: second '{head}:' line")
+            if head == "point" and len(toks) != 1:
+                raise KripkitError("syntax-error",
+                                   f"line {lineno}: point wants one world")
+            once[head] = toks
         elif head.startswith("rel "):
             ag = head[4:].strip()
             pairs = rels.setdefault(ag, [])
@@ -286,19 +288,15 @@ def parse_model(text: str):
                 u, _, v = tk.partition("-")
                 pairs.append((u, v))
         elif head.startswith("val "):
-            vals[head[4:].strip()] = toks
-        elif head == "point":
-            if len(toks) != 1:
-                raise KripkitError("syntax-error",
-                                   f"line {lineno}: point wants one world")
-            point = toks[0]
+            vals.setdefault(head[4:].strip(), []).extend(toks)
         else:
             raise KripkitError("syntax-error",
                                f"line {lineno}: unknown key '{head}'")
-    if worlds is None or agents is None or atoms is None:
+    if not {"worlds", "agents", "atoms"} <= once.keys():
         raise KripkitError("syntax-error", "missing worlds:/agents:/atoms: header")
-    m = Model.build(worlds, agents, atoms, rels, vals)
-    return m, (m.world_index(point) if point is not None else None)
+    m = Model.build(once["worlds"], once["agents"], once["atoms"], rels, vals)
+    point = once.get("point")
+    return m, (m.world_index(point[0]) if point is not None else None)
 
 
 def serialize_model(model: Model, point: Optional[int] = None) -> str:

@@ -443,6 +443,22 @@ def test_a_non_formula_and_an_unknown_name_report_the_first_met():
         assert e.value.code == code, phi
 
 
+def test_a_group_is_checked_before_the_child_it_binds():
+    # the core rewrite takes a group before its child, and Dhat's topic
+    # before its group
+    z, p = Atom("z"), Atom("p")
+    b = frozenset("b")
+    for phi, code in ((K("b", z), "unknown-agent"),
+                      (D(b, z), "unknown-agent"),
+                      (See(b, z), "unknown-agent"),
+                      (Sse(b, z, p), "unknown-agent"),
+                      (Dhat(b, z, p), "unknown-atom"),
+                      (Dhat(b, p, z), "unknown-agent")):
+        with pytest.raises(KripkitError) as e:
+            compile_program(phi, ("a",), ("p",))
+        assert e.value.code == code, phi
+
+
 def _raises(code, call, *args):
     try:
         call(*args)

@@ -274,6 +274,26 @@ def test_desugar_static_core():
     assert ndc(d) == 0 and atoms_of(d) == frozenset({"p", "q"})
 
 
+def test_desugar_gives_exact_core_forms():
+    p, q = Atom("p"), Atom("q")
+    assert desugar(Iff(p, q)) == And(Not(And(p, Not(q))), Not(And(q, Not(p))))
+    g = frozenset("ab")
+    d = desugar(Dhat(g, p, q))
+    assert d == And(Not(And(p, Not(D(g, Not(And(p, Not(q))))))),
+                    Not(And(Not(p), Not(D(g, Not(And(Not(p), Not(q))))))))
+    # the two ~chi are equal but distinct objects
+    first, second = d.right.sub.left, d.right.sub.right.sub.sub.sub.left
+    assert first == second == Not(p) and first is not second
+    # each false gets a Top of its own; one false object is rewritten once
+    b = desugar(And(Bot(), Bot()))
+    assert b == And(Not(Top()), Not(Top())) and b.left.sub is not b.right.sub
+    bot = Bot()
+    shared = desugar(And(bot, bot))
+    assert shared.left is shared.right
+    k = desugar(K("a", p))
+    assert type(k) is D and k.group == frozenset({"a"}) and k.sub is p
+
+
 def test_round_trip_random():
     rng = random.Random(11)
     for _ in range(300):
@@ -380,9 +400,15 @@ _ONE_WORLD = Model.build(("w0",), ("a",), ("p",), {"a": set()}, {"p": set()})
     lambda: truth_mask(_ONE_WORLD, Not("p")),
     lambda: agents_of("p"),
     lambda: atoms_of(K("a", None)),
+    lambda: nsc(3),
+    lambda: ndc(Not(3)),
+    lambda: complexity("p"),
+    lambda: c_greater(3, Atom("p")),
+    lambda: c_greater(Atom("p"), 3),
 ], ids=["check_validity", "translate", "print_formula", "desugar",
         "desugar-nested", "truth_mask", "truth_mask-nested", "agents_of",
-        "atoms_of-nested"])
+        "atoms_of-nested", "nsc", "ndc-nested", "complexity", "c_greater",
+        "c_greater-right"])
 def test_non_formula_input_is_refused(call):
     with pytest.raises(KripkitError) as e:
         call()

@@ -185,6 +185,10 @@ point: w0
     assert point == 0
     assert m.relation("a") == frozenset({(0, 1), (1, 1)})
     assert m.valuation["p"] == frozenset({"w1"})
+    # val lines add up, as rel lines do
+    m, point = parse_model(text + "val p: w0\nrel a: w1-w0\n")
+    assert m.valuation["p"] == frozenset({"w0", "w1"})
+    assert m.relation("a") == frozenset({(0, 1), (1, 1), (1, 0)})
 
 
 @pytest.mark.parametrize("text, code", [
@@ -203,11 +207,24 @@ point: w0
     ("worlds: w0 w1\nagents: a\natoms: p\nrel a: \nval p:\npoint: w0 w1",
      "syntax-error"),
     ("worlds: w0\nagents: a\nrel a: \n", "syntax-error"),
+    ("worlds: w0\nworlds: w0 w1\nagents: a\natoms: p\nrel a: \n",
+     "syntax-error"),
+    ("worlds: w0\nagents: a\nagents: a\natoms: p\nrel a: \n",
+     "syntax-error"),
+    ("worlds: w0\nagents: a\natoms: p\natoms: p\nrel a: \n",
+     "syntax-error"),
+    ("worlds: w0\nagents: a\natoms: p\nrel a: \npoint: w0\npoint: w0",
+     "syntax-error"),
 ])
 def test_parse_model_errors(text, code):
     with pytest.raises(KripkitError) as e:
         parse_model(text)
     assert e.value.code == code
+
+
+def test_parse_model_names_a_repeated_line():
+    with pytest.raises(KripkitError, match="line 3: second 'worlds:' line"):
+        parse_model("worlds: w0\nagents: a\nworlds: w0 w1\natoms: p\n")
 
 
 @pytest.mark.parametrize("rows, vals, code, message", [
