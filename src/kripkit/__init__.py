@@ -1,11 +1,12 @@
 """kripkit: finite multi-agent Kripke models with distributed knowledge and
 three flavours of communicative update, plus translation to the static
-fragment and bounded countermodel search."""
+fragment and bounded countermodel search.
 
-from .corpus import (Claim, ClaimReport, ClaimResult, ModelCheck,
-                     TruthSetCheck, claims, export, model_checks, model_cube,
-                     model_m1, model_m2, model_m3, model_sse_fixpoint,
-                     run_claims, truth_set_checks)
+The bundled claim corpus (run_claims and its models) loads on first use, so
+importing the package does not build it."""
+
+import importlib
+
 from .engine import Program, backend_name, compile_program, run_one, run_range
 from .formula import (And, Atom, Bot, D, Dhat, Eee, Formula, Iff, Implies, K,
                       Not, Or, See, Sse, Top, agents_of, atoms_of, c_greater,
@@ -42,3 +43,18 @@ __all__ = [
     "run_claims", "export", "model_m1", "model_m2", "model_m3", "model_cube",
     "model_sse_fixpoint", "__version__",
 ]
+
+_CORPUS = frozenset((
+    "Claim", "ClaimReport", "ClaimResult", "ModelCheck", "TruthSetCheck",
+    "claims", "export", "model_checks", "model_cube", "model_m1", "model_m2",
+    "model_m3", "model_sse_fixpoint", "run_claims", "truth_set_checks"))
+
+
+def __getattr__(name):
+    if name in _CORPUS:
+        return getattr(importlib.import_module(".corpus", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _CORPUS)

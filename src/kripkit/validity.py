@@ -15,11 +15,15 @@ empty, is the first failure a scan of the full space would give; the
 engine docstring says why. checked counts the models of the full space
 that the index order covers up to the first failure (all 2**B of a size
 with none), not the models the kernel evaluated.
+
+axiom_instances draws every schema's instances from one formula pool per
+(atoms, agents) roster, built on first use and shared by all schemas.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from typing import Optional
 
@@ -199,6 +203,14 @@ def formula_pool(depth: int, atoms, agents, limit: Optional[int] = None) -> tupl
     return tuple(pool if limit is None else pool[:max(limit, 0)])
 
 
+@lru_cache(maxsize=None)
+def _pool(atoms: tuple, agents: tuple) -> tuple:
+    """The pool axiom_instances draws from; formulas are frozen, so every
+    schema's instances can share its nodes."""
+    # a prime pool size keeps the cycled zips from collapsing onto a short orbit
+    return formula_pool(2, atoms, agents, limit=241)
+
+
 SCHEMAS = ("K_D", "M_D", "G_D",
            "eee-atom", "eee-not", "eee-and", "eee-D",
            "see-atom", "see-not", "see-and", "see-D",
@@ -234,8 +246,7 @@ def axiom_instances(schema: str, atoms=("p", "q"), agents=("a", "b"),
     roster = frozenset(agents)
     groups = _subsets(agents, nonempty=True)
     sgroups = _subsets(agents, nonempty=False)
-    # a prime pool size keeps the cycled zips from collapsing onto a short orbit
-    pool = formula_pool(2, atoms, agents, limit=241)
+    pool = _pool(atoms, agents)
 
     def gen():
         if schema == "K_D":

@@ -1,3 +1,9 @@
+import os
+import pathlib
+import subprocess
+import sys
+
+import kripkit
 from kripkit import (claims, export, model_checks, model_cube, model_m1,
                      model_m2, model_m3, model_sse_fixpoint, parse,
                      parse_model, run_claims, satisfies, truth_set,
@@ -86,3 +92,32 @@ def test_report_rows_carry_display_fields():
         assert r.kind in ("satisfies", "truth-set", "model-equality")
         assert r.expected and r.got
         assert isinstance(r.passed, bool)
+
+
+# a fresh interpreter: the corpus is not loaded by importing the package or
+# the CLI, and its names then load it
+_LAZY = """
+import sys
+import kripkit
+import kripkit.cli
+print("kripkit.corpus" in sys.modules)
+from kripkit import model_m1, run_claims
+print(run_claims is sys.modules["kripkit.corpus"].run_claims)
+names = dir(kripkit)
+print(all(n in names and hasattr(kripkit, n) for n in kripkit.__all__))
+try:
+    kripkit.no_such_name
+except AttributeError as e:
+    print(e)
+"""
+
+
+def test_import_leaves_the_corpus_unloaded():
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(kripkit.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", _LAZY], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "False", "True", "True",
+        "module 'kripkit' has no attribute 'no_such_name'"]

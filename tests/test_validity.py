@@ -7,7 +7,7 @@ from kripkit import (And, Atom, D, Iff, Implies, K, KripkitError, Not, Or,
                      SCHEMAS, SearchBounds, axiom_instances, check_equivalence,
                      check_validity, decode_model, enumerate_models,
                      formula_pool, model_index, satisfies)
-from kripkit import parse, validity
+from kripkit import parse, print_formula, validity
 from kripkit.engine import compile_program, restrict_program, run_range
 from kripkit.formula import Eee, See, Sse, agents_of, ndc
 from kripkit.validity import EXHAUSTIVE_BIT_CAP, model_bits
@@ -269,6 +269,46 @@ def test_axiom_instances_counts():
         else:
             # reduction equivalences
             assert all(isinstance(f, Iff) for f in got)
+
+
+INSTANCE_COUNTS = {
+    "K_D": 200, "M_D": 200, "G_D": 200, "eee-atom": 2, "eee-not": 200,
+    "eee-and": 200, "eee-D": 200, "see-atom": 8, "see-not": 200,
+    "see-and": 200, "see-D": 200, "sse-atom": 200, "sse-not": 200,
+    "sse-and": 200, "sse-D": 200,
+}
+
+
+def test_axiom_instance_texts_are_pinned():
+    # sha256 over the printed instances of every schema on the default
+    # roster, one text a line, in SCHEMAS order; taken when each call
+    # built its own pool
+    h, counts = hashlib.sha256(), {}
+    for schema in SCHEMAS:
+        got = axiom_instances(schema)
+        counts[schema] = len(got)
+        for f in got:
+            h.update(print_formula(f).encode() + b"\n")
+        assert axiom_instances(schema) == got
+        assert axiom_instances(schema, ["p", "q"], ["a", "b"]) == got
+    assert counts == INSTANCE_COUNTS
+    assert h.hexdigest() == \
+        "ecea257d7951b9f9237f300bb4a31bf39101b60c9e067952735a9f6ab9ec294e"
+
+
+def test_schemas_share_one_pool_per_roster(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return formula_pool(*args, **kwargs)
+
+    validity._pool.cache_clear()
+    monkeypatch.setattr(validity, "formula_pool", counted)
+    for agents in (("a", "b"), ("a",), ("a", "b")):
+        for schema in SCHEMAS:
+            axiom_instances(schema, agents=agents)
+    assert calls == [(2, ("p", "q"), ("a", "b")), (2, ("p", "q"), ("a",))]
 
 
 def test_axiom_instances_unknown_schema():
