@@ -2,10 +2,12 @@
 
 Core constructors: Atom, Top, Not, And, D, Eee, See, Sse. Everything else
 (Bot, Or, Implies, Iff, K, Dhat) is sugar, rewritten into the core by
-core_form, the one rewrite: desugar runs it to build formulas and
-engine.compile_program to emit program nodes. The measures nsc/ndc treat
-Or/Implies/Iff as primitive binaries and Dhat as a primitive so that the
-reduction bookkeeping stays strictly decreasing.
+core_form, the one rewrite, which builds its output through a target:
+_Formulas builds the formulas desugar returns, engine._Compile emits the
+program nodes of compile_program, translate._Shared hash-conses the formulas
+one translation builds, and _Symbols collects the names symbols_of returns.
+The measures nsc/ndc treat Or/Implies/Iff as primitive binaries and Dhat as
+a primitive so that the reduction bookkeeping stays strictly decreasing.
 """
 from __future__ import annotations
 
@@ -135,35 +137,9 @@ class Complexity:
 def symbols_of(phi: Formula) -> tuple:
     """(atom names, agent names) mentioned, in one walk over the formula
     that visits each node object once."""
-    atoms, agents = set(), set()
-    seen = set()
-    todo = [phi]
-    while todo:
-        f = todo.pop()
-        if isinstance(f, Atom):
-            atoms.add(f.name)
-            continue
-        if id(f) in seen:
-            continue
-        seen.add(id(f))
-        if isinstance(f, Not):
-            todo.append(f.sub)
-        elif isinstance(f, (And, Or, Implies, Iff)):
-            todo += (f.left, f.right)
-        elif isinstance(f, K):
-            agents.add(f.agent)
-            todo.append(f.sub)
-        elif isinstance(f, (D, See)):
-            agents.update(f.group)
-            todo.append(f.sub)
-        elif isinstance(f, Eee):
-            todo.append(f.sub)
-        elif isinstance(f, (Sse, Dhat)):
-            agents.update(f.group)
-            todo += (f.topic, f.sub)
-        elif not isinstance(f, (Top, Bot)):
-            raise KripkitError("not-a-formula", repr(f))
-    return frozenset(atoms), frozenset(agents)
+    t = _Symbols()
+    core_form(phi, t, {})
+    return frozenset(t.atoms), frozenset(t.agents)
 
 
 def atoms_of(phi: Formula) -> frozenset:
@@ -173,16 +149,6 @@ def atoms_of(phi: Formula) -> frozenset:
 
 def agents_of(phi: Formula) -> frozenset:
     return symbols_of(phi)[1]
-
-
-def imp_core(a: Formula, b: Formula) -> Formula:
-    """Core form of a -> b."""
-    return _imp(_Formulas, a, b)
-
-
-def dhat_core(group, chi: Formula, psi: Formula) -> Formula:
-    """Core expansion of the conditional distributed-knowledge operator."""
-    return _dhat(_Formulas, group, chi, psi)
 
 
 def desugar(phi: Formula) -> Formula:
@@ -209,6 +175,27 @@ class _Formulas:
     group = atom
 
 
+class _Symbols:
+    """core_form's target that collects the atom and agent names met."""
+
+    def __init__(self):
+        self.atoms, self.agents = set(), set()
+
+    @staticmethod
+    def emit(cls, *args):
+        # not None, so that core_form's memo marks the node as visited
+        return cls
+
+    def atom(self, f):
+        if isinstance(f, Atom):
+            self.atoms.add(f.name)
+        return f
+
+    def group(self, g):
+        self.agents.update(g)
+        return g
+
+
 def _imp(t, a, b):
     """a -> b, that is ~(a & ~b), through target t."""
     emit = t.emit
@@ -217,8 +204,8 @@ def _imp(t, a, b):
 
 def _dhat(t, g, chi, psi):
     """(chi -> D_G(chi -> psi)) & (~chi -> D_G(~chi -> psi)) through target
-    t; ~chi is emitted at each of its two places, so the formula form holds
-    two equal ~chi objects."""
+    t; ~chi is emitted at each of its two places, so _Formulas builds two
+    equal ~chi objects."""
     emit = t.emit
     return emit(And, _imp(t, chi, emit(D, g, _imp(t, chi, psi))),
                 _imp(t, emit(Not, chi),

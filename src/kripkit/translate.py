@@ -1,21 +1,26 @@
 """Reduction of dynamic formulas to the static language.
 
-Input is first desugared to the core constructors, then rewritten clause by
-clause. Every recursive call must strictly decrease the lexicographic
-(ndc, nsc) measure; a call that would not raises measure-violation. The
-result is a static core formula and the rewrite is idempotent on its output.
+The input's core form (formula.core_form) is rewritten clause by clause.
+Every recursive call must strictly decrease the lexicographic (ndc, nsc)
+measure; a call that would not raises measure-violation. The result is a
+static core formula and the rewrite is idempotent on its output.
 
-Within one call, equal subformulas are translated once: a repeat appends the
-trace steps of the first translation again, re-checks each of their calls'
-measures, and shares its result. So the trace is the one a plain recursion
-would record, and the output is a DAG.
+One table per call builds every formula met, so equal formulas are one
+object, and each is translated once: a repeat appends the trace steps of
+the first translation again, re-checks each of their calls' measures, and
+shares its result. So the trace is the one a plain recursion would record,
+and the output is a DAG. The clauses run from one explicit stack: under
+CPython 3.11 a deep recursion frees and faults in frame-stack memory as it
+unwinds, at a cost that depends on the caller's depth.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .formula import (And, Atom, D, Dhat, Eee, Formula, Not, See, Sse, Top,
-                      agents_of, c_greater, desugar, dhat_core, ndc)
+                      _dhat, agents_of, c_greater, core_form, ndc)
+# not called here; kbench's trace sites read it as translate.desugar
+from .formula import desugar  # noqa: F401
 from .kripke_core import KripkitError
 
 
@@ -38,14 +43,6 @@ class TranslationTrace:
         return len(self.steps)
 
 
-def _rewrap(op: Formula, sub: Formula) -> Formula:
-    if isinstance(op, Eee):
-        return Eee(sub)
-    if isinstance(op, See):
-        return See(op.group, sub)
-    return Sse(op.group, op.topic, sub)
-
-
 def translate(phi: Formula, agents=None) -> Formula:
     return translate_traced(phi, agents)[0]
 
@@ -65,121 +62,129 @@ def translate_traced(phi: Formula, agents=None):
             missing = ", ".join(sorted(mentioned - roster))
             raise KripkitError("unknown-agent",
                                f"formula mentions agents outside roster: {missing}")
+    table = _Shared()
     steps = []
-    result = _tau(desugar(phi), roster, steps, _Memo())
+    result = _tau(core_form(phi, table, {}), roster, steps, table)
     if ndc(result) != 0:
         raise KripkitError("measure-violation",
                            f"translation of {phi} is not static: {result}")
     return result, TranslationTrace(tuple(steps))
 
 
-class _Memo:
-    """What one translation call has met and finished.
-
-    seen: id of each formula object met -> (that object, its canonical
-      form), the canonical form being the first equal formula met. Holding
-      the object keeps its id from being reused within the call.
-    table: (type, name or group, id of each canonical child) -> canonical
-      form; keyed by identity, so no lookup hashes a whole subtree.
-    done: id of a canonical form -> (its translation, index of its first
-      trace step, index after its last step).
-    """
+class _Shared:
+    """One call's hash-consing table, core_form's target and _step's. A node
+    is keyed by its class and the ids of its arguments (groups are interned
+    too), so no lookup hashes a subtree; holding every node keeps those ids
+    from being reused within the call."""
 
     def __init__(self):
-        self.seen = {}
-        self.table = {}
-        self.done = {}
+        self.nodes = {}
 
-    def canonical(self, f: Formula) -> Formula:
-        got = self.seen.get(id(f))
-        if got is not None:
-            return got[1]
-        t = type(f)
-        if t is Atom:
-            key = (t, f.name)
-        elif t is Not or t is Eee:
-            key = (t, id(self.canonical(f.sub)))
-        elif t is And:
-            key = (t, id(self.canonical(f.left)), id(self.canonical(f.right)))
-        elif t is D or t is See:
-            key = (t, f.group, id(self.canonical(f.sub)))
-        elif t is Sse or t is Dhat:
-            key = (t, f.group, id(self.canonical(f.topic)),
-                   id(self.canonical(f.sub)))
-        else:  # Top, the one constant of the core
-            key = (t,)
-        c = self.table.setdefault(key, f)
-        self.seen[id(f)] = (f, c)
-        return c
+    def emit(self, cls, *args):
+        key = (cls, *map(id, args))
+        got = self.nodes.get(key)
+        if got is None:
+            got = self.nodes[key] = cls(*args)
+        return got
+
+    def atom(self, f):
+        return self.nodes.setdefault(
+            (Atom, f.name) if isinstance(f, Atom) else (Top,), f)
+
+    def group(self, g):
+        g = frozenset(g)
+        return self.nodes.setdefault(g, g)
 
 
-def _tau(f: Formula, roster, steps: list, memo: _Memo) -> Formula:
-    key = id(memo.canonical(f))
-    got = memo.done.get(key)
-    if got is not None:
-        # a repeat: the same steps again, each of their calls re-checked
-        # (read in place: a copy of the slice, up to about 1e4 steps, costs
-        # an allocation that the heap may trim and fault in again)
-        result, first, end = got
-        for step in map(steps.__getitem__, range(first, end)):
-            for g in step.calls:
-                if not c_greater(step.formula, g):
-                    raise KripkitError("measure-violation",
-                                       f"no (ndc, nsc) decrease from "
-                                       f"{step.formula} to {g}")
-        steps.extend(map(steps.__getitem__, range(first, end)))
-        return result
-    entry = len(steps)
-    steps.append(None)
-    calls = []
+def _tau(phi: Formula, roster, steps: list, table: _Shared) -> Formula:
+    done = {}  # id of a formula -> (translation, first step, end of steps)
+    stack = []  # (formula, its _step generator, its step's index, its calls)
+    g = phi
+    while True:
+        got = done.get(id(g))
+        if got is None:
+            stack.append((g, _step(g, roster, table), len(steps), []))
+            steps.append(None)
+            result = None
+        else:
+            # a repeat: the same steps again, each of their calls re-checked
+            # (read in place: a copy of the slice, up to about 1e4 steps,
+            # costs an allocation that the heap may trim and fault in again)
+            result, first, end = got
+            for step in map(steps.__getitem__, range(first, end)):
+                for h in step.calls:
+                    if not c_greater(step.formula, h):
+                        raise KripkitError("measure-violation",
+                                           f"no (ndc, nsc) decrease from "
+                                           f"{step.formula} to {h}")
+            steps.extend(map(steps.__getitem__, range(first, end)))
+        while stack:
+            f, step, entry, calls = stack[-1]
+            try:
+                g = step.send(result)
+            except StopIteration as stop:
+                result, clause = stop.value
+                stack.pop()
+                steps[entry] = TraceStep(f, clause, tuple(calls), result)
+                done[id(f)] = (result, entry, len(steps))
+                continue
+            if not c_greater(f, g):
+                raise KripkitError("measure-violation",
+                                   f"no (ndc, nsc) decrease from {f} to {g}")
+            calls.append(g)
+            break
+        else:
+            return result
 
-    def call(g: Formula) -> Formula:
-        if not c_greater(f, g):
-            raise KripkitError("measure-violation",
-                               f"no (ndc, nsc) decrease from {f} to {g}")
-        calls.append(g)
-        return _tau(g, roster, steps, memo)
 
-    result, clause = _step(f, roster, call)
-    steps[entry] = TraceStep(f, clause, tuple(calls), result)
-    memo.done[key] = (result, entry, len(steps))
-    return result
+def _rewrap(t, op: Formula, sub: Formula) -> Formula:
+    if isinstance(op, Eee):
+        return t.emit(Eee, sub)
+    if isinstance(op, See):
+        return t.emit(See, op.group, sub)
+    return t.emit(Sse, op.group, op.topic, sub)
 
 
-def _step(f: Formula, roster, call):
+def _step(f: Formula, roster, t):
+    """One rewrite clause on f, as a generator: it yields each formula it
+    needs translated, is sent back its translation, and returns (result,
+    clause). Every formula it makes is built through target t."""
+    emit = t.emit
     if isinstance(f, (Atom, Top)):
         return f, "atom"
     if isinstance(f, Not):
-        return Not(call(f.sub)), "not"
+        return emit(Not, (yield f.sub)), "not"
     if isinstance(f, And):
-        return And(call(f.left), call(f.right)), "and"
+        return emit(And, (yield f.left), (yield f.right)), "and"
     if isinstance(f, D):
-        return D(f.group, call(f.sub)), "dist"
+        return emit(D, f.group, (yield f.sub)), "dist"
     if isinstance(f, Dhat):
         # expand around the two already-reduced components; the expansion
         # itself is static, so no further call on it
-        return dhat_core(f.group, call(f.topic), call(f.sub)), "dhat"
+        return _dhat(t, f.group, (yield f.topic), (yield f.sub)), "dhat"
     if isinstance(f, (Eee, See, Sse)):
         inner = f.sub
         if isinstance(inner, (Atom, Top)):
-            return call(inner), "dyn-atom"
+            return (yield inner), "dyn-atom"
         if isinstance(inner, Not):
-            return call(Not(_rewrap(f, inner.sub))), "dyn-not"
+            return (yield emit(Not, _rewrap(t, f, inner.sub))), "dyn-not"
         if isinstance(inner, And):
-            return call(And(_rewrap(f, inner.left),
-                            _rewrap(f, inner.right))), "dyn-and"
+            return (yield emit(And, _rewrap(t, f, inner.left),
+                               _rewrap(t, f, inner.right))), "dyn-and"
         if isinstance(inner, D):
             if isinstance(f, Eee):
                 if not roster:
                     raise KripkitError("empty-group",
                                        "roster needed to push D past [eee]")
-                return call(D(roster, Eee(inner.sub))), "eee-dist"
+                return (yield emit(D, t.group(roster),
+                                   emit(Eee, inner.sub))), "eee-dist"
             if isinstance(f, See):
-                return call(D(f.group | inner.group,
-                              See(f.group, inner.sub))), "see-dist"
-            moved = Sse(f.group, f.topic, inner.sub)
-            return call(And(D(f.group | inner.group, moved),
-                            Dhat(inner.group, f.topic, moved))), "sse-dist"
+                return (yield emit(D, t.group(f.group | inner.group),
+                                   emit(See, f.group, inner.sub))), "see-dist"
+            moved = emit(Sse, f.group, f.topic, inner.sub)
+            both = emit(And, emit(D, t.group(f.group | inner.group), moved),
+                        emit(Dhat, inner.group, f.topic, moved))
+            return (yield both), "sse-dist"
         if isinstance(inner, (Eee, See, Sse)):
-            return call(_rewrap(f, call(inner))), "dyn-dyn"
+            return (yield _rewrap(t, f, (yield inner))), "dyn-dyn"
     raise KripkitError("measure-violation", f"no clause applies to {f}")

@@ -258,13 +258,11 @@ def axiom_instances(schema: str, atoms=("p", "q"), agents=("a", "b"),
             for f, (G, G2) in zip(_cycle(pool), _cycle(incl)):
                 yield Implies(D(G, f), D(G2, f))
         elif schema == "G_D":
-            taut = []
-            for f, g in islice(_pairs(pool), 4 * count):
-                taut.append(Or(f, Not(f)))
-                taut.append(Implies(f, f))
-                taut.append(Implies(And(f, g), f))
-                taut.append(Implies(f, Implies(g, f)))
-                taut.append(Implies(And(f, Implies(f, g)), g))
+            taut = (th for f, g in islice(_pairs(pool), 4 * count)
+                    for th in (Or(f, Not(f)), Implies(f, f),
+                               Implies(And(f, g), f),
+                               Implies(f, Implies(g, f)),
+                               Implies(And(f, Implies(f, g)), g)))
             for th, G in zip(taut, _cycle(groups)):
                 yield D(G, th)
         elif schema == "eee-atom":

@@ -208,7 +208,13 @@ _UNDER_O = {
 import importlib
 from kripkit import Atom, Eee
 TR = importlib.import_module("kripkit.translate")
-TR._step = lambda f, roster, call: (Eee(Atom("p")), "atom")
+
+def _step(f, roster, t):
+    return Eee(Atom("p")), "atom"
+    yield
+
+
+TR._step = _step
 TR.translate(Atom("p"))
 """,
     "row-count-mismatch": """
@@ -238,9 +244,10 @@ def test_invariant_checks_run_under_optimize(code):
 
 
 def _reference_traced(phi, agents):
-    """Plain recursion over translate._step, no memo: the trace as the
-    rewrite clauses define it."""
+    """Plain recursion over translate._step, no memo and no shared table:
+    the trace as the rewrite clauses define it."""
     TR = importlib.import_module("kripkit.translate")
+    F = importlib.import_module("kripkit.formula")
     roster = frozenset(agents)
     steps = []
 
@@ -248,13 +255,16 @@ def _reference_traced(phi, agents):
         entry = len(steps)
         steps.append(None)
         calls = []
-
-        def call(g):
+        step, got = TR._step(f, roster, F._Formulas), None
+        while True:
+            try:
+                g = step.send(got)
+            except StopIteration as stop:
+                result, clause = stop.value
+                break
             assert c_greater(f, g)
             calls.append(g)
-            return tau(g)
-
-        result, clause = TR._step(f, roster, call)
+            got = tau(g)
         steps[entry] = (f, clause, tuple(calls), result)
         return result
 
@@ -327,7 +337,11 @@ def _objects(f):
 
 def test_translation_output_is_shared():
     out, trace = translate_traced(parse(README_EXAMPLE), agents=("a", "b"))
-    assert len(_objects(out)) == 451
+    objects = _objects(out)
+    assert len(objects) == 392
+    # hash-consed: no two distinct objects are equal
+    num = _numbering()
+    assert len({num(f) for f in objects}) == len(objects)
     assert len({id(s) for s in trace}) == 401
     assert len(print_formula(out)) == 31491
 
@@ -339,7 +353,7 @@ def test_constants_are_shared_in_translation():
     out, trace = translate_traced(phi)
     objects = _objects(out)
     assert sum(isinstance(f, Top) for f in objects) == 1
-    assert len(objects) == 23
+    assert len(objects) == 20
     assert (len(trace), len({id(s) for s in trace})) == (26, 11)
     want_out, want = _reference_traced(phi, ("a",))
     num = _numbering()
@@ -348,6 +362,21 @@ def test_constants_are_shared_in_translation():
              num(s.result)) for s in trace] == \
         [(clause, num(f), [num(g) for g in calls], num(result))
          for f, clause, calls, result in want]
+
+
+def test_translation_does_not_recurse_with_the_trace():
+    # the README example's trace nests 43 calls deep; the clauses run from
+    # an explicit stack, so the frames in use stay far fewer
+    phi, depth, frame = parse(README_EXAMPLE), 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        out = translate(phi, agents=("a", "b"))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(print_formula(out)) == 31491
 
 
 def test_measure_check_runs_on_replayed_steps(monkeypatch):
