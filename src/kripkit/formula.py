@@ -518,7 +518,11 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     p = _Parser(text)
-    out = p.formula()
+    try:
+        out = p.formula()
+    except RecursionError:
+        raise KripkitError("syntax-error",
+                           "formula nested too deeply") from None
     t = p.peek()
     if t[0] != "eof":
         raise p.error("syntax-error", f"trailing input {t[1]!r}", p.i)

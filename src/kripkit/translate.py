@@ -6,12 +6,14 @@ measure; a call that would not raises measure-violation. The result is a
 static core formula and the rewrite is idempotent on its output.
 
 One table per call builds every formula met, so equal formulas are one
-object, and each is translated once: a repeat appends the trace steps of
-the first translation again, re-checks each of their calls' measures, and
-shares its result. So the trace is the one a plain recursion would record,
-and the output is a DAG. The clauses run from one explicit stack: under
-CPython 3.11 a deep recursion frees and faults in frame-stack memory as it
-unwinds, at a cost that depends on the caller's depth.
+object, and each is translated once: its step is recorded once, each of
+its calls is checked once, and a repeat shares its result. The trace holds
+each distinct step once. A plain recursion records a step's calls' steps
+right after it, so the flat trace it would record is built from the
+distinct steps on first read. The output is a DAG. The clauses run from
+one explicit stack: under CPython 3.11 a deep recursion frees and faults
+in frame-stack memory as it unwinds, at a cost that depends on the
+caller's depth.
 """
 from __future__ import annotations
 
@@ -32,15 +34,38 @@ class TraceStep:
     result: Formula
 
 
-@dataclass(frozen=True)
 class TranslationTrace:
-    steps: tuple
+    """The steps a plain recursion would record, each distinct one held
+    once: `distinct` maps the id of each translated formula to its step,
+    in the order the steps finished, so each comes after its calls' steps
+    and the root's is last. The flat `steps` tuple is built on first read.
+    """
+
+    def __init__(self, distinct: dict):
+        self._distinct = distinct
+        self._flat = None
+
+    @property
+    def steps(self) -> tuple:
+        if self._flat is None:
+            # the root's step, then the flat trace of each call in turn
+            distinct, flat = self._distinct, []
+            todo = [next(reversed(distinct.values()))]
+            while todo:
+                step = todo.pop()
+                flat.append(step)
+                todo += [distinct[id(g)] for g in reversed(step.calls)]
+            self._flat = tuple(flat)
+        return self._flat
 
     def __iter__(self):
         return iter(self.steps)
 
     def __len__(self):
-        return len(self.steps)
+        size = {}  # id of a formula -> length of its flat trace
+        for key, step in self._distinct.items():
+            size[key] = n = 1 + sum(size[id(g)] for g in step.calls)
+        return n
 
 
 def translate(phi: Formula, agents=None) -> Formula:
@@ -63,12 +88,11 @@ def translate_traced(phi: Formula, agents=None):
             raise KripkitError("unknown-agent",
                                f"formula mentions agents outside roster: {missing}")
     table = _Shared()
-    steps = []
-    result = _tau(core_form(phi, table, {}), roster, steps, table)
+    result, distinct = _tau(core_form(phi, table, {}), roster, table)
     if ndc(result) != 0:
         raise KripkitError("measure-violation",
                            f"translation of {phi} is not static: {result}")
-    return result, TranslationTrace(tuple(steps))
+    return result, TranslationTrace(distinct)
 
 
 class _Shared:
@@ -96,37 +120,27 @@ class _Shared:
         return self.nodes.setdefault(g, g)
 
 
-def _tau(phi: Formula, roster, steps: list, table: _Shared) -> Formula:
-    done = {}  # id of a formula -> (translation, first step, end of steps)
-    stack = []  # (formula, its _step generator, its step's index, its calls)
+def _tau(phi: Formula, roster, table: _Shared):
+    """(translation of phi, its distinct steps as TranslationTrace takes
+    them)."""
+    distinct = {}  # id of a formula -> its step, in the order they finish
+    stack = []  # (formula, its _step generator, its calls)
     g = phi
     while True:
-        got = done.get(id(g))
+        got = distinct.get(id(g))
         if got is None:
-            stack.append((g, _step(g, roster, table), len(steps), []))
-            steps.append(None)
+            stack.append((g, _step(g, roster, table), []))
             result = None
         else:
-            # a repeat: the same steps again, each of their calls re-checked
-            # (read in place: a copy of the slice, up to about 1e4 steps,
-            # costs an allocation that the heap may trim and fault in again)
-            result, first, end = got
-            for step in map(steps.__getitem__, range(first, end)):
-                for h in step.calls:
-                    if not c_greater(step.formula, h):
-                        raise KripkitError("measure-violation",
-                                           f"no (ndc, nsc) decrease from "
-                                           f"{step.formula} to {h}")
-            steps.extend(map(steps.__getitem__, range(first, end)))
+            result = got.result
         while stack:
-            f, step, entry, calls = stack[-1]
+            f, step, calls = stack[-1]
             try:
                 g = step.send(result)
             except StopIteration as stop:
                 result, clause = stop.value
                 stack.pop()
-                steps[entry] = TraceStep(f, clause, tuple(calls), result)
-                done[id(f)] = (result, entry, len(steps))
+                distinct[id(f)] = TraceStep(f, clause, tuple(calls), result)
                 continue
             if not c_greater(f, g):
                 raise KripkitError("measure-violation",
@@ -134,7 +148,7 @@ def _tau(phi: Formula, roster, steps: list, table: _Shared) -> Formula:
             calls.append(g)
             break
         else:
-            return result
+            return result, distinct
 
 
 def _rewrap(t, op: Formula, sub: Formula) -> Formula:

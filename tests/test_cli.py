@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from click.testing import CliRunner
 
@@ -96,6 +98,25 @@ def test_translate_trace():
     assert "D{a,b,c} q" in final
     # the trace ends with the static result, re-parseable
     parse(final)
+
+
+README_EXAMPLE = ("[sse a | p] [sse b | q] [sse a,b | p & q] "
+                  "D{a,b} (p -> [see a] K_b q)")
+
+
+def test_translate_trace_of_readme_example_is_pinned():
+    # every line of the flat trace, in order, as the distinct steps expand
+    res = run("translate", "--formula", README_EXAMPLE, "--trace")
+    assert res.exit_code == 0
+    assert len(res.output.splitlines()) == 9344  # 9,343 steps and the result
+    assert hashlib.sha256(res.output.encode()).hexdigest() == \
+        "f2e7c7b090e63ead760e26b8dcea3ebc7da1842ef9f4bd186eb9db9e86725291"
+
+
+def test_translate_deeply_nested_formula_is_usage_error():
+    res = run("translate", "--formula", "~" * 3000 + "p")
+    assert res.exit_code == 2
+    assert "syntax-error: formula nested too deeply" in res.output
 
 
 def test_validity_valid():

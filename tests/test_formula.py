@@ -83,6 +83,14 @@ def test_syntax_errors(bad):
     assert e.value.code == "syntax-error"
 
 
+@pytest.mark.parametrize("text", ["~" * 3000 + "p",
+                                  "(" * 3000 + "p" + ")" * 3000])
+def test_deep_nesting_is_a_syntax_error(text):
+    with pytest.raises(KripkitError) as e:
+        parse(text)
+    assert str(e.value) == "syntax-error: formula nested too deeply"
+
+
 def test_syntax_error_reports_position():
     with pytest.raises(KripkitError) as e:
         parse("p & $")

@@ -190,7 +190,14 @@ def test_measure_check_runs_once_per_call(monkeypatch):
     for text in texts:
         seen.clear()
         _, trace = translate_traced(parse(text), agents=("a", "b", "c"))
-        assert len(seen) == sum(len(s.calls) for s in trace)
+        # each distinct step's calls are checked once; a replay re-checks none
+        distinct = {id(s): s for s in trace}.values()
+        assert len(seen) == sum(len(s.calls) for s in distinct)
+        checked = {(id(f), id(g)) for f, g in seen}
+        assert all((id(s.formula), id(g)) in checked
+                   for s in trace for g in s.calls)
+        if text == README_EXAMPLE:
+            assert (len(seen), len(distinct), len(trace)) == (520, 401, 9343)
 
 
 def test_readme_example_trace_is_pinned():
@@ -324,6 +331,17 @@ def test_trace_matches_plain_recursion_step_for_step():
         assert translate(phi, agents=agents) == out
 
 
+def test_flat_trace_is_built_once_on_read():
+    for phi, agents in _trace_inputs():
+        _, trace = translate_traced(phi, agents=agents)
+        n = len(trace)
+        assert trace._flat is None  # counted from the distinct steps
+        steps = trace.steps
+        assert len(steps) == n == len(trace)
+        assert trace.steps is steps
+        assert list(map(id, trace)) == list(map(id, steps))
+
+
 def _objects(f):
     """The distinct node objects of f."""
     objects, todo = {}, [f]
@@ -385,21 +403,20 @@ def test_measure_check_runs_on_replayed_steps(monkeypatch):
     first = {}
     for i, s in enumerate(trace):
         first.setdefault(id(s), i)
-    # a step met again after its first translation: a second check of one of
-    # its calls can only come from replaying it
+    # a step met again after its first translation: its calls are checked
+    # once, when it is first translated, and the flat trace replays it
     i = next(i for i, s in enumerate(trace) if first[id(s)] < i and s.calls)
     f, g = trace.steps[i].formula, trace.steps[i].calls[0]
     real, hits = TR.c_greater, []
 
-    def failing_on_replay(a, b):
+    def failing_on_replayed_step(a, b):
         if a == f and b == g:
             hits.append(b)
-            if len(hits) > 1:
-                return False
+            return False
         return real(a, b)
 
-    monkeypatch.setattr(TR, "c_greater", failing_on_replay)
+    monkeypatch.setattr(TR, "c_greater", failing_on_replayed_step)
     with pytest.raises(KripkitError) as e:
         translate_traced(parse(README_EXAMPLE), agents=("a", "b"))
     assert e.value.code == "measure-violation"
-    assert len(hits) == 2
+    assert len(hits) == 1
