@@ -50,6 +50,20 @@ def test_precedence_and_associativity():
     assert parse("~K_a p") == Not(K("a", p))
     assert parse("K_a p & q") == And(K("a", p), q)
     assert parse("[eee] p & q") == And(Eee(p), q)
+    assert parse("p | q | r") == Or(Or(p, q), r)
+    assert parse("p <-> q -> r") == Iff(p, Implies(q, r))
+    assert parse("p -> q | r") == Implies(p, Or(q, r))
+    assert parse("~p -> q & r <-> s") == \
+        Iff(Implies(Not(p), And(q, r)), Atom("s"))
+
+
+def test_binary_connectives_round_trip_nested_each_side():
+    p, q, r = Atom("p"), Atom("q"), Atom("r")
+    binary = (Iff, Implies, Or, And)
+    for outer in binary:
+        for inner in binary:
+            for x in (outer(inner(p, q), r), outer(p, inner(q, r))):
+                assert parse(print_formula(x)) == x, print_formula(x)
 
 
 def test_first_pipe_separates_topic():
