@@ -29,8 +29,9 @@ Frames (relation states) are the n*n*nag relation-bit lane vectors in
 layout order, entry k*n*n + u*n + v for R_k(u, v). With R_G(u, v) the AND
 of R_k(u, v) over k in G (all-ones for the empty group):
   D_G:        out[u] = lanes & ~OR_v(R_G(u, v) & ~sub[v])
-  eee:        every agent gets R_all
   see S:      agent k gets R_k & R_S
+  eee:        see Ag, for the whole roster Ag: as R_Ag lies inside every
+              R_k, every agent gets R_Ag
   sse S|chi:  with X(u, v) = chi[u] ^ chi[v], the pairs that cross the
               topic, agent k gets the subtractive form
               R_k & ~OR_{j in S}(~R_j & X) and the intersection form
@@ -44,14 +45,15 @@ program on its first non-empty scan and kept on the Program; no register
 or step depends on the world count or the block width. A walk from the
 root gives a register to each (node, frame) pair it meets, to each R_G
 it needs (one per group and frame, a meet step) and to each frame:
-register 0 holds the block's relation bits, and an eee, see or sse node
-writes a new frame register, shared by updates of the same kind, group
-and topic on the same frame. The walk emits one step per register in
-dependency order, so a block runs the steps in a plain loop, with no
-recursion and no lookup keyed by a frame's value; frames equal by value
-but built along different paths sit in different registers. empty-group
-and unknown-schema are raised when the plan is built, definition-mismatch
-when an sse step meets it.
+register 0 holds the block's relation bits, and a see or sse node writes
+a new frame register, shared by updates of the same kind, group and topic
+on the same frame. An eee node is planned as a see node over the whole
+roster, so on one frame [eee] and [see Ag] share one register. The walk
+emits one step per register in dependency order, so a block runs the
+steps in a plain loop, with no recursion and no lookup keyed by a frame's
+value; frames equal by value but built along different paths sit in
+different registers. empty-group and unknown-schema are raised when the
+plan is built, definition-mismatch when an sse step meets it.
 
 restrict_program drops the agents a program does not read, keeping the
 others in roster order. The root's value on a model depends only on the
@@ -321,11 +323,10 @@ def _reg(i, f, p):
         if x == 0:
             raise KripkitError("empty-group", "D node with empty mask")
         o = _step(p, K_D, _reg(y, f, p), _meet(p, x, f))
-    elif k == K_EEE:
-        m = _meet(p, (1 << p.nag) - 1, f)
-        o = _reg(x, _once(p, ("eee", f), K_EEE, m), p)
-    elif k == K_SEE:
-        o = _reg(y, _once(p, ("see", x, f), K_SEE, f, _meet(p, x, f)), p)
+    elif k == K_EEE or k == K_SEE:
+        # [eee] is [see Ag] for the whole roster Ag
+        g, sub = ((1 << p.nag) - 1, x) if k == K_EEE else (x, y)
+        o = _reg(sub, _once(p, ("see", g, f), K_SEE, f, _meet(p, g, f)), p)
     elif k == K_SSE:
         t, m = _reg(y, f, p), _meet(p, x, f)
         senders = tuple(j for j in range(p.nag) if (x >> j) & 1)
@@ -390,8 +391,6 @@ def _scan(prog: Program, n: int, start: int, stop: int):
                 for j in y[1:]:
                     val = list(map(and_, val, fr[j * nn:(j + 1) * nn]))
                 reg[o] = val
-            elif k == K_EEE:
-                reg[o] = reg[x] * nag
             elif k == K_SEE:
                 reg[o] = list(map(and_, reg[x], reg[y] * nag))
             else:  # K_SSE
@@ -443,9 +442,4 @@ def run_range(prog: Program, n: int, start: int, stop: int):
 def run_one(prog: Program, n: int, idx: int):
     """Smallest world where the root fails on model idx, or -1; idx lies
     in [0, 2**B)."""
-    B = _space_bits(n, len(prog.agents), len(prog.atoms))
-    if not 0 <= idx < 1 << B:
-        raise KripkitError("index-out-of-range",
-                           f"model index {idx} outside [0, 2**{B}) "
-                           f"at {n} worlds")
-    return _scan(prog, n, idx, idx + 1)[1]
+    return run_range(prog, n, idx, idx + 1)[1]

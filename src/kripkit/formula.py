@@ -330,14 +330,7 @@ def complexity(phi: Formula) -> Complexity:
 
 def c_greater(phi1: Formula, phi2: Formula) -> bool:
     """Lexicographic (ndc, nsc) strict order."""
-    try:
-        a, b = phi1._measures_, phi2._measures_
-    except AttributeError:
-        bad = phi2 if isinstance(phi1, Formula) else phi1
-        raise KripkitError("not-a-formula", repr(bad)) from None
-    if a is None or b is None:
-        return _measures(phi1) > _measures(phi2)
-    return a > b
+    return _measures(phi1) > _measures(phi2)
 
 
 # -- concrete syntax --
@@ -351,14 +344,23 @@ _TOKEN_RE = re.compile(r"""\s*(
   | [a-z][a-z0-9_]*
 )""", re.VERBOSE)
 _SPACE_RE = re.compile(r"\s*")
-# token text -> kind, for the tokens that are not K_agent or identifiers
-_KINDS = {"Dhat": "dhat", "D": "dop", "<->": "iff", "->": "imp"}
-_KINDS.update((s, s) for s in "~&|(){}[],")
+
+_PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4, 5
+
+# the one precedence table, read by both parse and print_formula:
+# infix connective type -> (symbol, precedence, right-associative)
+_INFIX = {Iff: (" <-> ", _PREC_IFF, True), Implies: (" -> ", _PREC_IMP, True),
+          Or: (" | ", _PREC_OR, False), And: (" & ", _PREC_AND, False)}
+_PREC = {t: prec for t, (_, prec, _) in _INFIX.items()}
+# token -> (type, precedence, right-associative)
+_BINARY = {symbol.strip(): (t, prec, right)
+           for t, (symbol, prec, right) in _INFIX.items()}
 
 
 def _tokenize(text: str):
     """(kind, value) pairs, ending with ("eof", ""); a K_agent token has
-    the agent as its value.
+    the agent as its value, and every other token but an identifier is its
+    own kind.
 
     findall skips what no token matches, so the text is tokenized exactly
     when the tokens make up all of it but its whitespace."""
@@ -374,13 +376,12 @@ def _tokenize(text: str):
                            f"position {pos}: unexpected character {text[pos]!r}")
     out = []
     for t in toks:
-        kind = _KINDS.get(t)
-        if kind is not None:
-            out.append((kind, t))
-        elif t[0] == "K":
+        if t[:2] == "K_":
             out.append(("kop", t[2:]))
-        else:
+        elif t[0].islower():
             out.append(("ident", t))
+        else:
+            out.append((t, t))
     out.append(("eof", ""))
     return out
 
@@ -415,34 +416,17 @@ class _Parser:
                              f"expected {kind!r}, got {t[1]!r}")
         return t
 
-    # precedence: <-> < -> < | < & < unary
-    def formula(self) -> Formula:
-        left = self.implication()
-        if self.peek()[0] == "iff":
-            self.next()
-            return Iff(left, self.formula())  # right-assoc
-        return left
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "imp":
-            self.next()
-            return Implies(left, self.implication())  # right-assoc
-        return left
-
-    def disjunction(self) -> Formula:
-        out = self.conjunction()
-        while self.peek()[0] == "|":
-            self.next()
-            out = Or(out, self.conjunction())
-        return out
-
-    def conjunction(self) -> Formula:
+    def formula(self, prec=_PREC_IFF) -> Formula:
+        """A formula whose binary connectives bind at precedence prec or
+        tighter (precedence climbing over _BINARY)."""
         out = self.unary()
-        while self.peek()[0] == "&":
+        while True:
+            op = _BINARY.get(self.peek()[0])
+            if op is None or op[1] < prec:
+                return out
+            t, p, right_assoc = op
             self.next()
-            out = And(out, self.unary())
-        return out
+            out = t(out, self.formula(p if right_assoc else p + 1))
 
     def agent_list(self):
         agents = []
@@ -462,7 +446,7 @@ class _Parser:
         if kind == "kop":
             self.next()
             return K(value, self.unary())
-        if kind == "dop":
+        if kind == "D":
             self.next()
             self.expect("{")
             g = self.agent_list()
@@ -470,7 +454,7 @@ class _Parser:
             if not g:
                 raise self.error("empty-group", "D{} is not a modality", at)
             return D(g, self.unary())
-        if kind == "dhat":
+        if kind == "Dhat":
             self.next()
             self.expect("{")
             g = self.agent_list()
@@ -527,14 +511,6 @@ def parse(text: str) -> Formula:
     if t[0] != "eof":
         raise p.error("syntax-error", f"trailing input {t[1]!r}", p.i)
     return out
-
-
-_PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4, 5
-
-# infix connectives: type -> (symbol, precedence, right-associative)
-_INFIX = {Iff: (" <-> ", _PREC_IFF, True), Implies: (" -> ", _PREC_IMP, True),
-          Or: (" | ", _PREC_OR, False), And: (" & ", _PREC_AND, False)}
-_PREC = {t: prec for t, (_, prec, _) in _INFIX.items()}
 
 
 def _group_str(g) -> str:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formula import (And, Atom, D, Dhat, Eee, Formula, Not, See, Sse, Top,
-                      _dhat, agents_of, c_greater, core_form, ndc)
+                      _dhat, c_greater, core_form, ndc)
 # not called here; kbench's trace sites read it as translate.desugar
 from .formula import desugar  # noqa: F401
 from .kripke_core import KripkitError
@@ -78,7 +78,11 @@ def translate_traced(phi: Formula, agents=None):
     agents: full roster, needed when a distributed modality sits under the
     everything-broadcast; inferred from the formula when omitted.
     """
-    mentioned = agents_of(phi)
+    table = _Shared()
+    core = core_form(phi, table, {})
+    # the groups core_form interned are the groups phi mentions
+    mentioned = frozenset().union(
+        *(g for g in table.nodes if isinstance(g, frozenset)))
     if agents is None:
         roster = mentioned
     else:
@@ -87,8 +91,7 @@ def translate_traced(phi: Formula, agents=None):
             missing = ", ".join(sorted(mentioned - roster))
             raise KripkitError("unknown-agent",
                                f"formula mentions agents outside roster: {missing}")
-    table = _Shared()
-    result, distinct = _tau(core_form(phi, table, {}), roster, table)
+    result, distinct = _tau(core, roster, table)
     if ndc(result) != 0:
         raise KripkitError("measure-violation",
                            f"translation of {phi} is not static: {result}")

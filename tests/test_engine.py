@@ -280,6 +280,27 @@ def _oracle_scan(phi, n, agents, atoms, start, stop):
     return -1, -1, stop - start
 
 
+def test_eee_and_see_of_the_roster_share_one_frame_step():
+    # [eee] is planned as [see Ag] for the whole roster Ag, so on one frame
+    # the two updates write one register
+    atoms = ("p",)
+    f = K("a", Atom("p"))
+    phi = And(Eee(f), See(frozenset(AGENTS), f))
+    prog = compile_program(phi, AGENTS, atoms)
+    steps, _ = engine._plan(prog)
+    assert [k for k, *_ in steps if k in (K_EEE, K_SEE, K_SSE)] == [K_SEE]
+    for n in (1, 2):
+        top = 1 << model_bits(n, len(AGENTS), len(atoms))
+        worlds = [_first_failing_world(decode_model(i, n, AGENTS, atoms), phi)
+                  for i in range(top)]
+        assert any(w >= 0 for w in worlds)
+        for start in range(0, top, max(1, top // 16)):
+            fails = [i for i in range(start, top) if worlds[i] >= 0]
+            want = ((fails[0], worlds[fails[0]], fails[0] - start + 1)
+                    if fails else (-1, -1, top - start))
+            assert run_range(prog, n, start, top) == want, (n, start)
+
+
 @pytest.mark.parametrize("wrap", ["eee-eee", "see-see", "sse-still"])
 def test_frames_equal_by_value_in_separate_registers(wrap):
     # [eee][eee], [see S][see S], [see S][see {}] and an sse whose topic
