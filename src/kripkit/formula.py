@@ -20,7 +20,7 @@ from .kripke_core import KripkitError
 
 @dataclass(frozen=True)
 class Formula:
-    # the cached (ndc, nsc) pair, set per node by _measures; not a field
+    # the cached (ndc, nsc) pair, set per node by _pair; not a field
     _measures_ = None
 
     def __str__(self):
@@ -264,53 +264,84 @@ def core_form(f: Formula, t, done: dict):
     return out
 
 
-# The (ndc, nsc) pair of a node is computed once, from its children's
+# The (ndc, nsc) pair of a node is made once, by _pair from its children's
 # pairs, and kept on the node under this one attribute; a second lazily set
-# attribute would cost every node a full instance dict. Equal pairs are
-# shared through _PAIRS (one entry per distinct pair, a few hundred over
-# hundreds of stacked-update translations), so the cache adds no tuple per
-# node. Construction, equality and hashing are untouched: the attribute is
-# not a dataclass field. Formula declares it as None, so reading an unset
-# pair is a plain attribute read that does not raise.
+# attribute would cost every node a full instance dict. translate._Shared
+# applies _pair to each node it builds, so a translation's nodes carry their
+# pairs from birth; _measures gives a pair to any other node when first
+# asked. Equal pairs are shared through _PAIRS (one entry per distinct pair,
+# a few hundred over hundreds of stacked-update translations), so the cache
+# adds no tuple per node. Construction, equality and hashing are untouched:
+# the attribute is not a dataclass field. Formula declares it as None, so
+# reading an unset pair is a plain attribute read that does not raise.
 _MEASURES = "_measures_"
 _PAIRS: dict = {}
 
 
-def _measures(phi: Formula) -> tuple:
-    """(ndc, nsc) of phi, cached on each node."""
-    try:
-        got = phi._measures_
-    except AttributeError:
-        raise KripkitError("not-a-formula", repr(phi)) from None
-    if got is not None:
-        return got
-    if isinstance(phi, (Atom, Top)):
-        pair = (0, 1)
-    elif isinstance(phi, Bot):
-        pair = (0, 2)  # measures its desugared form ~Top
-    elif isinstance(phi, (Not, K, D)):
-        d, s = _measures(phi.sub)
+def _pair(phi: Formula) -> tuple:
+    """phi's (ndc, nsc), made by its class's rule from its children's pairs
+    and cached on phi; a child without a pair gets one from _measures."""
+    t = type(phi)
+    if t is Not or t is D or t is K:
+        sub = phi.sub
+        d, s = sub._measures_ or _measures(sub)
         pair = (d, 1 + s)
-    elif isinstance(phi, (And, Or, Implies, Iff)):
-        d1, s1 = _measures(phi.left)
-        d2, s2 = _measures(phi.right)
-        pair = (max(d1, d2), 1 + max(s1, s2))
-    elif isinstance(phi, (Eee, See)):
-        d, s = _measures(phi.sub)
+    elif t is And or t is Or or t is Implies or t is Iff:
+        left, right = phi.left, phi.right
+        d1, s1 = left._measures_ or _measures(left)
+        d2, s2 = right._measures_ or _measures(right)
+        pair = (d1 if d1 > d2 else d2, 1 + (s1 if s1 > s2 else s2))
+    elif t is Eee or t is See:
+        sub = phi.sub
+        d, s = sub._measures_ or _measures(sub)
         pair = (1 + d, 2 * s)
-    elif isinstance(phi, Sse):
-        dt, st = _measures(phi.topic)
-        ds, ss = _measures(phi.sub)
+    elif t is Sse:
+        topic, sub = phi.topic, phi.sub
+        dt, st = topic._measures_ or _measures(topic)
+        ds, ss = sub._measures_ or _measures(sub)
         pair = (1 + dt + ds, (8 + st) * ss)
-    elif isinstance(phi, Dhat):
-        dt, _ = _measures(phi.topic)
-        ds, ss = _measures(phi.sub)
+    elif t is Dhat:
+        topic, sub = phi.topic, phi.sub
+        dt, _ = topic._measures_ or _measures(topic)
+        ds, ss = sub._measures_ or _measures(sub)
         pair = (max(dt, ds), 7 + ss)
+    elif t is Atom or t is Top:
+        pair = (0, 1)
+    elif t is Bot:
+        pair = (0, 2)  # measures its desugared form ~Top
     else:
         raise KripkitError("not-a-formula", repr(phi))
     pair = _PAIRS.setdefault(pair, pair)
     object.__setattr__(phi, _MEASURES, pair)
     return pair
+
+
+def _measures(phi: Formula) -> tuple:
+    """(ndc, nsc) of phi: its cached pair, else _pair applied to each node
+    below it that has none, children first, from an explicit stack, so that
+    no depth of nesting recurses."""
+    got = getattr(phi, _MEASURES, None)
+    if got is not None:
+        return got
+    if not isinstance(phi, Formula):
+        raise KripkitError("not-a-formula", repr(phi))
+    todo = [phi]
+    while todo:
+        f = todo[-1]
+        if f._measures_ is not None:  # a shared node, measured meanwhile
+            todo.pop()
+            continue
+        subs = [v for v in vars(f).values()
+                if isinstance(v, Formula) and v._measures_ is None]
+        if subs:
+            todo += subs
+            continue
+        todo.pop()
+        try:
+            _pair(f)
+        except AttributeError:  # a child that is not a formula
+            raise KripkitError("not-a-formula", repr(f)) from None
+    return phi._measures_
 
 
 def nsc(phi: Formula) -> int:
@@ -329,8 +360,10 @@ def complexity(phi: Formula) -> Complexity:
 
 
 def c_greater(phi1: Formula, phi2: Formula) -> bool:
-    """Lexicographic (ndc, nsc) strict order."""
-    return _measures(phi1) > _measures(phi2)
+    """Lexicographic (ndc, nsc) strict order; a cached pair is read without
+    a call."""
+    return ((getattr(phi1, _MEASURES, None) or _measures(phi1))
+            > (getattr(phi2, _MEASURES, None) or _measures(phi2)))
 
 
 # -- concrete syntax --

@@ -5,13 +5,16 @@ transformed model; the sse topic is evaluated on the incoming model before
 the relations change.
 
 Each model visited during one evaluation has its own memo, keyed by the
-identity of the subformula object. The root formula keeps every subformula
-alive for the length of the call, so no identity is reused within it.
+identity of the subformula object, and holding too the distributed rows of
+each D group and K agent read on that model. The root formula keeps every
+subformula alive for the length of the call, so no identity is reused
+within it.
 
 Names are checked where they are read: every atom and agent is looked up
-through Model.atom_index or Model.agent_index as its node is first
-evaluated, and an updated model keeps the rosters, so a name outside them
-raises unknown-atom or unknown-agent, naming the first one met.
+through Model.atom_index or Model.agent_index when its node is first
+evaluated (a group's agents when the group is first read on a model), and
+an updated model keeps the rosters, so a name outside them raises
+unknown-atom or unknown-agent, naming the first one met.
 """
 from __future__ import annotations
 
@@ -44,46 +47,59 @@ def _box(drows, submask: int) -> int:
     return out
 
 
+def _drows(model: Model, memo: dict, group) -> tuple:
+    """Rows of R_{D,G} for group (a frozenset, or a tuple of K's one agent),
+    kept in the model's memo under the group itself."""
+    got = memo.get(group)
+    if got is None:
+        got = memo[group] = distributed_rows(model, group_mask(model, group))
+    return got
+
+
 def _eval(model: Model, phi: Formula, memo: dict) -> int:
-    """Truth mask of phi on model; memo belongs to this model alone."""
+    """Truth mask of phi on model; memo belongs to this model alone. It maps
+    the id of each subformula evaluated to its mask, and each D group and K
+    agent met to its distributed rows."""
     key = id(phi)
     got = memo.get(key)
     if got is not None:
         return got
-    full = (1 << model.n) - 1
-    if isinstance(phi, Atom):
-        out = model.atom_mask(phi.name)
-    elif isinstance(phi, Top):
-        out = full
-    elif isinstance(phi, Bot):
-        out = 0
-    elif isinstance(phi, Not):
-        out = full & ~_eval(model, phi.sub, memo)
-    elif isinstance(phi, And):
+    t = type(phi)
+    if t is Not:
+        out = ((1 << model.n) - 1) & ~_eval(model, phi.sub, memo)
+    elif t is And:
         out = _eval(model, phi.left, memo) & _eval(model, phi.right, memo)
-    elif isinstance(phi, Or):
+    elif t is D:
+        drows = _drows(model, memo, phi.group)
+        out = _box(drows, _eval(model, phi.sub, memo))
+    elif t is Atom:
+        out = model.atom_mask(phi.name)
+    elif t is Top:
+        out = (1 << model.n) - 1
+    elif t is Bot:
+        out = 0
+    elif t is Or:
         out = _eval(model, phi.left, memo) | _eval(model, phi.right, memo)
-    elif isinstance(phi, Implies):
-        out = (full & ~_eval(model, phi.left, memo)) | _eval(model, phi.right, memo)
-    elif isinstance(phi, Iff):
-        out = full & ~(_eval(model, phi.left, memo) ^ _eval(model, phi.right, memo))
-    elif isinstance(phi, K):
-        out = _box(distributed_rows(model, 1 << model.agent_index(phi.agent)),
-                   _eval(model, phi.sub, memo))
-    elif isinstance(phi, D):
-        out = _box(distributed_rows(model, group_mask(model, phi.group)),
-                   _eval(model, phi.sub, memo))
-    elif isinstance(phi, Dhat):
+    elif t is Implies:
+        out = (((1 << model.n) - 1) & ~_eval(model, phi.left, memo)) \
+            | _eval(model, phi.right, memo)
+    elif t is Iff:
+        out = ((1 << model.n) - 1) & ~(_eval(model, phi.left, memo)
+                                       ^ _eval(model, phi.right, memo))
+    elif t is K:
+        drows = _drows(model, memo, (phi.agent,))
+        out = _box(drows, _eval(model, phi.sub, memo))
+    elif t is Dhat:
         ko = knowing_only_rows(model.n, _eval(model, phi.topic, memo))
-        drows = distributed_rows(model, group_mask(model, phi.group))
+        drows = _drows(model, memo, phi.group)
         out = _box([d & k for d, k in zip(drows, ko)],
                    _eval(model, phi.sub, memo))
-    elif isinstance(phi, Eee):
+    elif t is Eee:
         out = _eval(model.with_rows(eee_rows(model)), phi.sub, {})
-    elif isinstance(phi, See):
+    elif t is See:
         moved = model.with_rows(see_rows(model, group_mask(model, phi.group)))
         out = _eval(moved, phi.sub, {})
-    elif isinstance(phi, Sse):
+    elif t is Sse:
         chi = _eval(model, phi.topic, memo)
         moved = model.with_rows(sse_rows(model, group_mask(model, phi.group), chi))
         out = _eval(moved, phi.sub, {})

@@ -6,28 +6,28 @@ measure; a call that would not raises measure-violation. The result is a
 static core formula and the rewrite is idempotent on its output.
 
 One table per call builds every formula met, so equal formulas are one
-object, and each is translated once: its step is recorded once, each of
-its calls is checked once, and a repeat shares its result. The trace holds
-each distinct step once. A plain recursion records a step's calls' steps
-right after it, so the flat trace it would record is built from the
-distinct steps on first read. The output is a DAG. The clauses run from
-one explicit stack: under CPython 3.11 a deep recursion frees and faults
-in frame-stack memory as it unwinds, at a cost that depends on the
-caller's depth.
+object, and sets the (ndc, nsc) pair of each node as it builds it, so a
+measure check reads pairs already made. Each formula is translated once:
+its step is recorded once, each of its calls is checked once, and a repeat
+shares its result. The trace holds each distinct step once. A plain
+recursion records a step's calls' steps right after it, so the flat trace
+it would record is built from the distinct steps on first read. The output
+is a DAG. The clauses run from one explicit stack: under CPython 3.11 a
+deep recursion frees and faults in frame-stack memory as it unwinds, at a
+cost that depends on the caller's depth.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formula import (And, Atom, D, Dhat, Eee, Formula, Not, See, Sse, Top,
-                      _dhat, c_greater, core_form, ndc)
+                      _dhat, _measures, _pair, c_greater, core_form)
 # not called here; kbench's trace sites read it as translate.desugar
 from .formula import desugar  # noqa: F401
 from .kripke_core import KripkitError
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     formula: Formula
     clause: str
     calls: tuple
@@ -92,26 +92,33 @@ def translate_traced(phi: Formula, agents=None):
             raise KripkitError("unknown-agent",
                                f"formula mentions agents outside roster: {missing}")
     result, distinct = _tau(core, roster, table)
-    if ndc(result) != 0:
+    # a clause's result is built by the table, so it carries its pair
+    d = (result._measures_ or _measures(result))[0]
+    if d != 0:
         raise KripkitError("measure-violation",
-                           f"translation of {phi} is not static: {result}")
+                           f"translation of {phi} is not static: its "
+                           f"result has ndc {d}")
     return result, TranslationTrace(distinct)
 
 
 class _Shared:
     """One call's hash-consing table, core_form's target and _step's. A node
-    is keyed by its class and the ids of its arguments (groups are interned
-    too), so no lookup hashes a subtree; holding every node keeps those ids
-    from being reused within the call."""
+    is keyed by its class and the ids of its up to three arguments (groups
+    are interned too, and a missing argument is None), so no lookup hashes a
+    subtree; holding every node keeps those ids from being reused within the
+    call. Each node it builds gets its (ndc, nsc) pair then, from its
+    children's; only a leaf is measured when first read."""
 
     def __init__(self):
         self.nodes = {}
 
-    def emit(self, cls, *args):
-        key = (cls, *map(id, args))
+    def emit(self, cls, x, y=None, z=None):
+        key = (cls, id(x), id(y), id(z))
         got = self.nodes.get(key)
         if got is None:
-            got = self.nodes[key] = cls(*args)
+            got = self.nodes[key] = (cls(x) if y is None else cls(x, y)
+                                     if z is None else cls(x, y, z))
+            _pair(got)
         return got
 
     def atom(self, f):

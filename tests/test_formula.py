@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -268,6 +269,24 @@ def test_cached_measures_match_reference_recursion():
         assert c_greater(f, other) == \
             ((_ref_ndc(f), _ref_nsc(f)) > (_ref_ndc(other), _ref_nsc(other)))
         measured.append(f)
+
+
+def test_measures_of_a_deep_formula_do_not_recurse():
+    # built directly, so parse's depth limit does not apply; the fallback
+    # walk runs from an explicit stack, within the default recursion limit
+    def deep():
+        f = Atom("p")
+        for _ in range(3000):
+            f = Not(f)
+        return f
+
+    assert sys.getrecursionlimit() < 3000
+    assert (ndc(deep()), nsc(deep())) == (0, 3001)
+    c = complexity(deep())
+    assert (c.ndc, c.nsc) == (0, 3001)
+    f = deep()
+    assert c_greater(f, Not(Atom("p"))) and not c_greater(Atom("p"), f)
+    assert (ndc(f), nsc(f)) == (0, 3001)
 
 
 def test_measure_cache_leaves_construction_and_equality_alone():

@@ -139,3 +139,57 @@ def test_parsed_and_constructed_agree():
         m = gen.random_model(rng)
         f = gen.random_formula(rng, 3)
         assert truth_set(m, f) == truth_set(m, parse(print_formula(f)))
+
+
+def test_distributed_rows_stay_with_their_model():
+    # the rows of a D group or a K agent are kept in one model's memo, so a
+    # group read under an update and again outside it, in either order,
+    # gets each model's rows
+    rng = random.Random(24)
+    x = parse("D{a,b} p")
+    phis = [parse(text) for text in ("[see a] D{a,b} p & D{a,b} p",
+                                     "[sse a | p] K_b q & K_b q",
+                                     "[eee] D{a,b} p & D{a,b} p",
+                                     # updates that change the rows read
+                                     "[see a] D{b} p & D{b} p",
+                                     "[eee] K_a p & K_a p",
+                                     "[sse b | p] K_b q & K_b q",
+                                     "[sse a | p] D{b} q & K_b q")]
+    # one object under the update and outside it
+    phis += [And(See(frozenset("a"), x), x), And(Eee(x), x)]
+    # each side first, in a conjunction and in an equivalence: one side of
+    # a conjunction may imply the other and so hide the other's error
+    phis = [f(u, v) for phi in phis
+            for u, v in ((phi.left, phi.right), (phi.right, phi.left))
+            for f in (And, Iff)]
+    for _ in range(300):
+        m = gen.random_model(rng, 4, ("a", "b"), ("p", "q"))
+        M = O.to_dict(m)
+        for phi in phis:
+            assert truth_set(m, phi) == O.truth_set(M, phi), (m, phi)
+
+
+@pytest.mark.parametrize("text, agent", [
+    ("K_c p & D{a,d} p", "c"),
+    ("D{d} p & K_c p", "d"),
+    ("D{d} z & K_c p", "d"),
+    ("K_a p & D{a} (p & K_e p)", "e"),
+    ("[see a] K_a p & K_c p", "c"),
+])
+def test_truth_mask_names_the_first_unknown_agent(text, agent):
+    m = Model.build(("w0",), ("a", "b"), ("p",), {"a": set(), "b": set()},
+                    {"p": set()})
+    with pytest.raises(KripkitError) as e:
+        truth_mask(m, parse(text))
+    assert str(e.value) == f"unknown-agent: {agent}"
+
+
+# a child that is not a formula, met after its parent has read the rows of
+# its group or agent; test_formula covers a non-formula root
+@pytest.mark.parametrize("phi", [
+    And(Atom("p"), 3), D(frozenset("a"), 3), K("a", None), Eee(3)])
+def test_truth_mask_refuses_a_non_formula(phi):
+    m = Model.build(("w0",), ("a",), ("p",), {"a": set()}, {"p": set()})
+    with pytest.raises(KripkitError) as e:
+        truth_mask(m, phi)
+    assert e.value.code == "not-a-formula"

@@ -19,6 +19,7 @@ from kripkit.validity import model_index
 
 import gen
 import oracle_eval as O
+from test_formula import _ref_ndc, _ref_nsc
 
 
 def test_frozen_examples():
@@ -200,6 +201,35 @@ def test_measure_check_runs_once_per_call(monkeypatch):
             assert (len(seen), len(distinct), len(trace)) == (520, 401, 9343)
 
 
+def test_translation_nodes_carry_their_measures_from_birth(monkeypatch):
+    F = importlib.import_module("kripkit.formula")
+    TR = importlib.import_module("kripkit.translate")
+    real_measures, measured = F._measures, []
+    real_step, steps = TR.TraceStep, []
+
+    def counting_measures(phi):
+        measured.append(phi)
+        return real_measures(phi)
+
+    def counting_step(*fields):
+        steps.append(fields)
+        return real_step(*fields)
+
+    monkeypatch.setattr(F, "_measures", counting_measures)
+    monkeypatch.setattr(TR, "TraceStep", counting_step)
+    out, trace = translate_traced(parse(README_EXAMPLE), agents=("a", "b"))
+    # the table measures each node it builds, so the fallback walk meets
+    # none of them
+    assert [f for f in measured if not isinstance(f, (Atom, Top))] == []
+    assert len(steps) == 401
+    monkeypatch.undo()
+    for f in _objects(out):
+        assert f._measures_ == (_ref_ndc(f), _ref_nsc(f)), f
+    # a step is a tuple of its fields
+    s = trace.steps[0]
+    assert s == (s.formula, s.clause, s.calls, s.result) == tuple(s)
+
+
 def test_readme_example_trace_is_pinned():
     _, trace = translate_traced(parse(README_EXAMPLE), agents=("a", "b"))
     clauses = "\n".join(s.clause for s in trace)
@@ -209,9 +239,10 @@ def test_readme_example_trace_is_pinned():
 
 
 # Each snippet breaks one invariant; under -O it must still raise its code.
+# test id -> (error code, snippet)
 _UNDER_O = {
     # a rewrite clause that leaves an update behind
-    "measure-violation": """
+    "measure-violation": ("measure-violation", """
 import importlib
 from kripkit import Atom, Eee
 TR = importlib.import_module("kripkit.translate")
@@ -223,12 +254,30 @@ def _step(f, roster, t):
 
 TR._step = _step
 TR.translate(Atom("p"))
-""",
-    "row-count-mismatch": """
+"""),
+    # the same with 3,000 updates left behind, built outside the table: the
+    # result's measures come from the fallback walk, which does not recurse
+    "measure-violation-deep": ("measure-violation", """
+import importlib
+from kripkit import Atom, Eee
+TR = importlib.import_module("kripkit.translate")
+deep = Atom("p")
+for _ in range(3000):
+    deep = Eee(deep)
+
+def _step(f, roster, t):
+    return deep, "atom"
+    yield
+
+
+TR._step = _step
+TR.translate(Atom("p"))
+"""),
+    "row-count-mismatch": ("row-count-mismatch", """
 from kripkit import Model
 m = Model.build(("w0",), ("a",), ("p",), {"a": set()}, {"p": set()})
 m.with_rows((0, 0))
-""",
+"""),
 }
 
 _RUNNER = """
@@ -242,9 +291,10 @@ except KripkitError as e:
 """
 
 
-@pytest.mark.parametrize("code", sorted(_UNDER_O))
-def test_invariant_checks_run_under_optimize(code):
-    out = subprocess.run([sys.executable, "-O", "-c", _RUNNER, _UNDER_O[code]],
+@pytest.mark.parametrize("case", sorted(_UNDER_O))
+def test_invariant_checks_run_under_optimize(case):
+    code, snippet = _UNDER_O[case]
+    out = subprocess.run([sys.executable, "-O", "-c", _RUNNER, snippet],
                          capture_output=True, text=True, env=dict(os.environ))
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == code
