@@ -118,7 +118,7 @@ def compile_program(phi: Formula, agents, atoms) -> Program:
     check_distinct("atom", atoms)
     c = _Compile({t: i for i, t in enumerate(atoms)},
                  {a: 1 << i for i, a in enumerate(agents)})
-    root = core_form(phi, c, {})
+    root = core_form(phi, c)
     kinds, a1, a2, a3 = zip(*c.nodes)
     return Program(kinds, a1, a2, a3, root, agents, atoms)
 

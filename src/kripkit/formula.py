@@ -3,9 +3,9 @@
 Core constructors: Atom, Top, Not, And, D, Eee, See, Sse. Everything else
 (Bot, Or, Implies, Iff, K, Dhat) is sugar, rewritten into the core by
 core_form, the one rewrite, which builds its output through a target:
-_Formulas builds the formulas desugar returns, engine._Compile emits the
-program nodes of compile_program, translate._Shared hash-conses the formulas
-one translation builds, and _Symbols collects the names symbols_of returns.
+_Shared hash-conses the formulas that desugar returns and that one
+translation builds, and symbols_of reads names off it; engine._Compile
+emits the program nodes of compile_program.
 The measures nsc/ndc treat Or/Implies/Iff as primitive binaries and Dhat as
 a primitive so that the reduction bookkeeping stays strictly decreasing.
 """
@@ -135,11 +135,11 @@ class Complexity:
 
 
 def symbols_of(phi: Formula) -> tuple:
-    """(atom names, agent names) mentioned, in one walk over the formula
-    that visits each node object once."""
-    t = _Symbols()
-    core_form(phi, t, {})
-    return frozenset(t.atoms), frozenset(t.agents)
+    """(atom names, agent names) mentioned, read off the table that builds
+    phi's core form, which visits each node object once."""
+    t = _Shared()
+    core_form(phi, t)
+    return t.atoms(), t.agents()
 
 
 def atoms_of(phi: Formula) -> frozenset:
@@ -153,47 +153,45 @@ def agents_of(phi: Formula) -> frozenset:
 
 def desugar(phi: Formula) -> Formula:
     """Rewrite to the core constructors {Atom, Top, Not, And, D, Eee, See,
-    Sse}.
-
-    Each node object is rewritten once per call, so a shared input gives a
-    shared output.
-    """
-    return core_form(phi, _Formulas, {})
+    Sse}, as a hash-consed DAG: equal subformulas are one object, and each
+    node the rewrite builds carries its (ndc, nsc) pair."""
+    return core_form(phi, _Shared())
 
 
-class _Formulas:
-    """core_form's target that builds the core formula itself."""
-
-    @staticmethod
-    def emit(cls, *args):
-        return cls(*args)
-
-    @staticmethod
-    def atom(f):
-        return f
-
-    group = atom
-
-
-class _Symbols:
-    """core_form's target that collects the atom and agent names met."""
+class _Shared:
+    """A hash-consing table, core_form's target and translate._step's. A
+    node is keyed by its class and the ids of its up to three arguments
+    (groups are interned too, a missing argument is None), so no lookup
+    hashes a subtree; the table holds its nodes, so no id is reused. Each
+    node it builds gets its (ndc, nsc) pair from its children's then."""
 
     def __init__(self):
-        self.atoms, self.agents = set(), set()
+        self.nodes = {}
 
-    @staticmethod
-    def emit(cls, *args):
-        # not None, so that core_form's memo marks the node as visited
-        return cls
+    def emit(self, cls, x, y=None, z=None):
+        key = (cls, id(x), id(y), id(z))
+        got = self.nodes.get(key)
+        if got is None:
+            got = self.nodes[key] = (cls(x) if y is None else cls(x, y)
+                                     if z is None else cls(x, y, z))
+            _pair(got)
+        return got
 
     def atom(self, f):
-        if isinstance(f, Atom):
-            self.atoms.add(f.name)
-        return f
+        return self.nodes.setdefault(
+            (Atom, f.name) if isinstance(f, Atom) else (Top,), f)
 
     def group(self, g):
-        self.agents.update(g)
-        return g
+        g = frozenset(g)
+        return self.nodes.setdefault(g, g)
+
+    def atoms(self) -> frozenset:  # the names of the atoms interned
+        return frozenset(f.name for f in self.nodes.values()
+                         if type(f) is Atom)
+
+    def agents(self) -> frozenset:  # the agents of the groups interned
+        return frozenset().union(
+            *(g for g in self.nodes.values() if type(g) is frozenset))
 
 
 def _imp(t, a, b):
@@ -204,15 +202,14 @@ def _imp(t, a, b):
 
 def _dhat(t, g, chi, psi):
     """(chi -> D_G(chi -> psi)) & (~chi -> D_G(~chi -> psi)) through target
-    t; ~chi is emitted at each of its two places, so _Formulas builds two
-    equal ~chi objects."""
+    t; ~chi is emitted at each of its two places, and t may share them."""
     emit = t.emit
     return emit(And, _imp(t, chi, emit(D, g, _imp(t, chi, psi))),
                 _imp(t, emit(Not, chi),
                      emit(D, g, _imp(t, emit(Not, chi), psi))))
 
 
-def core_form(f: Formula, t, done: dict):
+def core_form(f: Formula, t):
     """The core form of f, built through target t.
 
     t.emit(cls, *args) makes a core node of class cls (Not, And, D, Eee,
@@ -220,9 +217,22 @@ def core_form(f: Formula, t, done: dict):
     the argument of a group. Children are rewritten left to right, a group
     before the child it binds (for Dhat: topic, group, body), so nodes are
     emitted, and errors met, in the order of a walk over the desugared
-    formula. done maps the id of each other input node met to its output;
-    f keeps those nodes alive for the call.
+    formula. Each node object of f is rewritten once.
     """
+    try:
+        return _core(f, t, {})
+    except RecursionError:
+        raise _too_deep("rewrite") from None
+
+
+def _too_deep(what: str) -> KripkitError:
+    # the formula is not shown: printing it would recurse as deep again
+    return KripkitError("nested-too-deeply", f"formula too deep to {what}")
+
+
+def _core(f: Formula, t, done: dict):
+    """core_form's recursion; done maps the id of each node met, but an
+    Atom or Top, to its output, and f keeps those nodes alive."""
     if isinstance(f, (Atom, Top)):
         return t.atom(f)
     got = done.get(id(f))
@@ -230,33 +240,32 @@ def core_form(f: Formula, t, done: dict):
         return got
     emit = t.emit
     if isinstance(f, Not):
-        out = emit(Not, core_form(f.sub, t, done))
+        out = emit(Not, _core(f.sub, t, done))
     elif isinstance(f, And):
-        out = emit(And, core_form(f.left, t, done),
-                   core_form(f.right, t, done))
+        out = emit(And, _core(f.left, t, done), _core(f.right, t, done))
     elif isinstance(f, Or):  # ~(~a & ~b)
-        out = emit(Not, emit(And, emit(Not, core_form(f.left, t, done)),
-                             emit(Not, core_form(f.right, t, done))))
+        out = emit(Not, emit(And, emit(Not, _core(f.left, t, done)),
+                             emit(Not, _core(f.right, t, done))))
     elif isinstance(f, Implies):
-        out = _imp(t, core_form(f.left, t, done), core_form(f.right, t, done))
+        out = _imp(t, _core(f.left, t, done), _core(f.right, t, done))
     elif isinstance(f, Iff):  # (a -> b) & (b -> a)
-        a, b = core_form(f.left, t, done), core_form(f.right, t, done)
+        a, b = _core(f.left, t, done), _core(f.right, t, done)
         out = emit(And, _imp(t, a, b), _imp(t, b, a))
     elif isinstance(f, K):  # D{agent}
-        out = emit(D, t.group((f.agent,)), core_form(f.sub, t, done))
+        out = emit(D, t.group((f.agent,)), _core(f.sub, t, done))
     elif isinstance(f, D):
-        out = emit(D, t.group(f.group), core_form(f.sub, t, done))
+        out = emit(D, t.group(f.group), _core(f.sub, t, done))
     elif isinstance(f, Eee):
-        out = emit(Eee, core_form(f.sub, t, done))
+        out = emit(Eee, _core(f.sub, t, done))
     elif isinstance(f, See):
-        out = emit(See, t.group(f.group), core_form(f.sub, t, done))
+        out = emit(See, t.group(f.group), _core(f.sub, t, done))
     elif isinstance(f, Sse):
-        out = emit(Sse, t.group(f.group), core_form(f.topic, t, done),
-                   core_form(f.sub, t, done))
+        out = emit(Sse, t.group(f.group), _core(f.topic, t, done),
+                   _core(f.sub, t, done))
     elif isinstance(f, Dhat):
-        chi = core_form(f.topic, t, done)
-        out = _dhat(t, t.group(f.group), chi, core_form(f.sub, t, done))
-    elif isinstance(f, Bot):  # ~Top, with a Top of its own
+        chi = _core(f.topic, t, done)
+        out = _dhat(t, t.group(f.group), chi, _core(f.sub, t, done))
+    elif isinstance(f, Bot):  # ~Top
         out = emit(Not, t.atom(Top()))
     else:
         raise KripkitError("not-a-formula", repr(f))
@@ -266,10 +275,10 @@ def core_form(f: Formula, t, done: dict):
 
 # The (ndc, nsc) pair of a node is made once, by _pair from its children's
 # pairs, and kept on the node under this one attribute; a second lazily set
-# attribute would cost every node a full instance dict. translate._Shared
-# applies _pair to each node it builds, so a translation's nodes carry their
-# pairs from birth; _measures gives a pair to any other node when first
-# asked. Equal pairs are shared through _PAIRS (one entry per distinct pair,
+# attribute would cost every node a full instance dict. _Shared applies
+# _pair to each node it builds, so desugar's and a translation's nodes carry
+# their pairs from birth; _measures gives a pair to any other node when
+# first asked. Equal pairs are shared through _PAIRS (one entry per distinct pair,
 # a few hundred over hundreds of stacked-update translations), so the cache
 # adds no tuple per node. Construction, equality and hashing are untouched:
 # the attribute is not a dataclass field. Formula declares it as None, so
@@ -556,7 +565,10 @@ def print_formula(phi: Formula) -> str:
     Each node object is printed once per call, so a shared formula prints in
     time linear in its distinct nodes plus the length of the string.
     """
-    return _print(phi, {})
+    try:
+        return _print(phi, {})
+    except RecursionError:
+        raise _too_deep("print") from None
 
 
 def _print(phi: Formula, memo: dict) -> str:

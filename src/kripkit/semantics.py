@@ -19,13 +19,16 @@ unknown-atom or unknown-agent, naming the first one met.
 from __future__ import annotations
 
 from .formula import (And, Atom, Bot, D, Dhat, Eee, Formula, Iff, Implies, K,
-                      Not, Or, See, Sse, Top)
+                      Not, Or, See, Sse, Top, _too_deep)
 from .kripke_core import KripkitError, Model, distributed_rows, group_mask
 from .transforms import eee_rows, knowing_only_rows, see_rows, sse_rows
 
 
 def truth_mask(model: Model, phi: Formula) -> int:
-    return _eval(model, phi, {})
+    try:
+        return _eval(model, phi, {})
+    except RecursionError:
+        raise _too_deep("evaluate") from None
 
 
 def truth_set(model: Model, phi: Formula) -> frozenset:

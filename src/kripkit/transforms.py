@@ -7,6 +7,9 @@ they agree.
 """
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+
 from .kripke_core import (KripkitError, Model, distributed_rows, group_mask,
                           rows_to_pairs)
 
@@ -65,17 +68,13 @@ def sse_rows(model: Model, smask: int, chi_mask: int) -> tuple:
     # senders' distributed relation, with the empty group read as W x W
     dsrows = distributed_rows(model, smask) if smask else (full,) * n
 
-    subtractive = []
-    for a in range(nag):
-        for u in range(n):
-            cut = 0
-            m, j = smask, 0
-            while m:
-                if m & 1:
-                    cut |= (full & ~model.row(j, u)) & fi[u]
-                m >>= 1
-                j += 1
-            subtractive.append(model.row(a, u) & ~cut)
+    # the edges a sender rules out that cross the topic boundary: one cut
+    # per world, the same for every agent
+    senders = [j for j in range(smask.bit_length()) if (smask >> j) & 1]
+    cut = [fi[u] & reduce(or_, (~model.row(j, u) for j in senders), 0)
+           for u in range(n)]
+    subtractive = [model.row(a, u) & ~cut[u]
+                   for a in range(nag) for u in range(n)]
 
     intersection = []
     for a in range(nag):

@@ -5,23 +5,24 @@ Every recursive call must strictly decrease the lexicographic (ndc, nsc)
 measure; a call that would not raises measure-violation. The result is a
 static core formula and the rewrite is idempotent on its output.
 
-One table per call builds every formula met, so equal formulas are one
-object, and sets the (ndc, nsc) pair of each node as it builds it, so a
-measure check reads pairs already made. Each formula is translated once:
-its step is recorded once, each of its calls is checked once, and a repeat
-shares its result. The trace holds each distinct step once. A plain
-recursion records a step's calls' steps right after it, so the flat trace
-it would record is built from the distinct steps on first read. The output
-is a DAG. The clauses run from one explicit stack: under CPython 3.11 a
-deep recursion frees and faults in frame-stack memory as it unwinds, at a
-cost that depends on the caller's depth.
+One table per call (formula._Shared, as in desugar) builds every formula
+met, so equal formulas are one object, and sets the (ndc, nsc) pair of
+each node as it builds it, so a measure check reads pairs already made.
+Each formula is translated once: its step is recorded once, each of its
+calls is checked once, and a repeat shares its result. The trace holds
+each distinct step once. A plain recursion records a step's calls' steps
+right after it, so the flat trace it would record is built from the
+distinct steps on first read. The output is a DAG. The clauses run from
+one explicit stack: under CPython 3.11 a deep recursion frees and faults
+in frame-stack memory as it unwinds, at a cost that depends on the
+caller's depth.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
 from .formula import (And, Atom, D, Dhat, Eee, Formula, Not, See, Sse, Top,
-                      _dhat, _measures, _pair, c_greater, core_form)
+                      _dhat, _measures, _Shared, c_greater, core_form)
 # not called here; kbench's trace sites read it as translate.desugar
 from .formula import desugar  # noqa: F401
 from .kripke_core import KripkitError
@@ -79,10 +80,8 @@ def translate_traced(phi: Formula, agents=None):
     everything-broadcast; inferred from the formula when omitted.
     """
     table = _Shared()
-    core = core_form(phi, table, {})
-    # the groups core_form interned are the groups phi mentions
-    mentioned = frozenset().union(
-        *(g for g in table.nodes if isinstance(g, frozenset)))
+    core = core_form(phi, table)
+    mentioned = table.agents()
     if agents is None:
         roster = mentioned
     else:
@@ -99,35 +98,6 @@ def translate_traced(phi: Formula, agents=None):
                            f"translation of {phi} is not static: its "
                            f"result has ndc {d}")
     return result, TranslationTrace(distinct)
-
-
-class _Shared:
-    """One call's hash-consing table, core_form's target and _step's. A node
-    is keyed by its class and the ids of its up to three arguments (groups
-    are interned too, and a missing argument is None), so no lookup hashes a
-    subtree; holding every node keeps those ids from being reused within the
-    call. Each node it builds gets its (ndc, nsc) pair then, from its
-    children's; only a leaf is measured when first read."""
-
-    def __init__(self):
-        self.nodes = {}
-
-    def emit(self, cls, x, y=None, z=None):
-        key = (cls, id(x), id(y), id(z))
-        got = self.nodes.get(key)
-        if got is None:
-            got = self.nodes[key] = (cls(x) if y is None else cls(x, y)
-                                     if z is None else cls(x, y, z))
-            _pair(got)
-        return got
-
-    def atom(self, f):
-        return self.nodes.setdefault(
-            (Atom, f.name) if isinstance(f, Atom) else (Top,), f)
-
-    def group(self, g):
-        g = frozenset(g)
-        return self.nodes.setdefault(g, g)
 
 
 def _tau(phi: Formula, roster, table: _Shared):
@@ -154,7 +124,8 @@ def _tau(phi: Formula, roster, table: _Shared):
                 continue
             if not c_greater(f, g):
                 raise KripkitError("measure-violation",
-                                   f"no (ndc, nsc) decrease from {f} to {g}")
+                                   "no (ndc, nsc) decrease from ndc "
+                                   f"{_measures(f)[0]} to {_measures(g)[0]}")
             calls.append(g)
             break
         else:

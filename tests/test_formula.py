@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib
 import random
 import sys
 
@@ -11,7 +12,8 @@ from kripkit import (And, Atom, Bot, D, Dhat, Eee, Formula, Iff, Implies, K,
                      KripkitError, Model, Not, Or, SearchBounds, See, Sse,
                      Top, agents_of, atoms_of, c_greater, check_validity,
                      complexity, desugar, ndc, nsc, parse, print_formula,
-                     translate, truth_mask)
+                     satisfies, translate, translate_traced, truth_mask)
+from kripkit.engine import compile_program
 from kripkit.formula import symbols_of
 
 import gen
@@ -322,12 +324,12 @@ def test_desugar_gives_exact_core_forms():
     d = desugar(Dhat(g, p, q))
     assert d == And(Not(And(p, Not(D(g, Not(And(p, Not(q))))))),
                     Not(And(Not(p), Not(D(g, Not(And(Not(p), Not(q))))))))
-    # the two ~chi are equal but distinct objects
+    # the two ~chi are one object
     first, second = d.right.sub.left, d.right.sub.right.sub.sub.sub.left
-    assert first == second == Not(p) and first is not second
-    # each false gets a Top of its own; one false object is rewritten once
+    assert first == second == Not(p) and first is second
+    # the two false share one Top; one false object is rewritten once
     b = desugar(And(Bot(), Bot()))
-    assert b == And(Not(Top()), Not(Top())) and b.left.sub is not b.right.sub
+    assert b == And(Not(Top()), Not(Top())) and b.left.sub is b.right.sub
     bot = Bot()
     shared = desugar(And(bot, bot))
     assert shared.left is shared.right
@@ -406,6 +408,72 @@ def test_printed_batch_is_pinned():
         assert any(name in repr(f) for f in shared), name
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == \
         "7179d4b98325c4ff8b0c274445b835b4005c12f39160c3a0fa203fb2d144b4fc"
+
+
+def _desugar_inputs():
+    rng = random.Random(71)
+    shared = []
+    for _ in range(400):
+        yield _every_connective(rng, rng.randint(0, 5), shared)
+    rng = random.Random(72)
+    for _ in range(200):
+        yield gen.random_formula(rng, rng.randint(0, 5))
+
+
+def test_desugar_is_hash_consed_and_measured(monkeypatch):
+    TR = importlib.import_module("kripkit.translate")
+    real_tau, rosters = TR._tau, []
+
+    def recording_tau(phi, roster, table):
+        rosters.append(roster)
+        return real_tau(phi, roster, table)
+
+    monkeypatch.setattr(TR, "_tau", recording_tau)
+    for f in _desugar_inputs():
+        d = desugar(f)
+        objects, todo = {}, [d]
+        while todo:
+            g = todo.pop()
+            if id(g) not in objects:
+                objects[id(g)] = g
+                todo += [v for v in vars(g).values() if isinstance(v, Formula)]
+        # equal objects would have equal keys, from the bottom up
+        keys = {(type(g),) + tuple(
+            id(v) if isinstance(v, Formula) else v
+            for v in (getattr(g, k.name) for k in dataclasses.fields(g)))
+            for g in objects.values()}
+        assert len(keys) == len(objects), f
+        for g in objects.values():
+            if g is not d or not isinstance(d, (Atom, Top)):  # leaf: on read
+                assert g._measures_ == (_ref_ndc(g), _ref_nsc(g)), g
+        assert symbols_of(d) == symbols_of(f)
+        translate_traced(f)
+        assert rosters[-1] == agents_of(f)
+
+
+def _deep_not():
+    f = Atom("p")
+    for _ in range(3000):
+        f = Not(f)
+    return f
+
+
+@pytest.mark.parametrize("call", [
+    desugar, agents_of, translate,
+    lambda f: compile_program(f, ("a",), ("p",)),
+    lambda f: check_validity(f, SearchBounds(1, ("a",), ("p",))),
+    print_formula, str,
+    lambda f: satisfies(_ONE_WORLD, "w0", f),
+], ids=["desugar", "agents_of", "translate", "compile_program",
+        "check_validity", "print_formula", "str", "satisfies"])
+def test_deep_formula_raises_a_stable_code(call):
+    # built directly, so parse's depth limit does not apply
+    f = _deep_not()
+    assert sys.getrecursionlimit() < 3000
+    with pytest.raises(KripkitError) as e:
+        call(f)
+    assert e.value.code == "nested-too-deeply"
+    assert (ndc(f), nsc(f)) == (0, 3001)
 
 
 def _tree_copy(f):

@@ -273,6 +273,24 @@ def _step(f, roster, t):
 TR._step = _step
 TR.translate(Atom("p"))
 """),
+    # a clause that calls for a directly built [eee] chain 3,000 deep: the
+    # failed decrease check's message does not print either formula
+    "measure-violation-deep-call": ("measure-violation", """
+import importlib
+from kripkit import Atom, Eee
+TR = importlib.import_module("kripkit.translate")
+deep = Atom("p")
+for _ in range(3000):
+    deep = Eee(deep)
+
+def _step(f, roster, t):
+    yield deep
+    return f, "atom"
+
+
+TR._step = _step
+TR.translate(Atom("p"))
+"""),
     "row-count-mismatch": ("row-count-mismatch", """
 from kripkit import Model
 m = Model.build(("w0",), ("a",), ("p",), {"a": set()}, {"p": set()})
@@ -300,6 +318,21 @@ def test_invariant_checks_run_under_optimize(case):
     assert out.stdout.strip() == code
 
 
+class _Tree:
+    """A core_form and _step target that shares nothing: each node it
+    emits is a new object."""
+
+    @staticmethod
+    def emit(cls, *args):
+        return cls(*args)
+
+    @staticmethod
+    def atom(f):
+        return f
+
+    group = atom
+
+
 def _reference_traced(phi, agents):
     """Plain recursion over translate._step, no memo and no shared table:
     the trace as the rewrite clauses define it."""
@@ -312,7 +345,7 @@ def _reference_traced(phi, agents):
         entry = len(steps)
         steps.append(None)
         calls = []
-        step, got = TR._step(f, roster, F._Formulas), None
+        step, got = TR._step(f, roster, _Tree), None
         while True:
             try:
                 g = step.send(got)
@@ -325,7 +358,7 @@ def _reference_traced(phi, agents):
         steps[entry] = (f, clause, tuple(calls), result)
         return result
 
-    return tau(desugar(phi)), steps
+    return tau(F.core_form(phi, _Tree)), steps
 
 
 def _numbering():
@@ -415,8 +448,8 @@ def test_translation_output_is_shared():
 
 
 def test_constants_are_shared_in_translation():
-    # each false desugars to ~Top with a Top of its own; equal constants are
-    # still translated once and shared, and the trace is unchanged
+    # each false desugars to ~Top; equal constants are translated once and
+    # shared, and the trace is the plain recursion's
     phi = parse("[sse a | false] K_a (false & false)")
     out, trace = translate_traced(phi)
     objects = _objects(out)
