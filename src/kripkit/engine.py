@@ -4,12 +4,14 @@ the scan kernel.
 A program is a DAG of nodes over parallel arrays. Kinds:
   K_ATOM atom(a1=atom index)      K_NOT not(a1=child)
   K_AND  and(a1, a2)              K_D   D(a1=agent mask, a2=child)
-  K_EEE  eee(a1=child)            K_SEE see(a1=sender mask, a2=child)
+  K_SEE  see(a1=sender mask, a2=child)
   K_SSE  sse(a1=sender mask, a2=topic, a3=body)
   K_TOP  top (all-ones on every world)
 
 compile_program emits phi's core form through formula.core_form, the
-rewrite desugar runs, one node per distinct kind and arguments.
+rewrite desugar runs, one node per distinct kind and arguments; [eee] is
+emitted as [see Ag] for the whole roster Ag (R_k & R_Ag = R_Ag), so
+[eee] f and [see Ag] f are one node.
 
 Models of one shape (n worlds, nag agents, nat atoms) are identified with
 indices of model_bits(n, nag, nat) bits. Layout, most significant bit first:
@@ -30,8 +32,6 @@ layout order, entry k*n*n + u*n + v for R_k(u, v). With R_G(u, v) the AND
 of R_k(u, v) over k in G (all-ones for the empty group):
   D_G:        out[u] = lanes & ~OR_v(R_G(u, v) & ~sub[v])
   see S:      agent k gets R_k & R_S
-  eee:        see Ag, for the whole roster Ag: as R_Ag lies inside every
-              R_k, every agent gets R_Ag
   sse S|chi:  with X(u, v) = chi[u] ^ chi[v], the pairs that cross the
               topic, agent k gets the subtractive form
               R_k & ~OR_{j in S}(~R_j & X) and the intersection form
@@ -47,12 +47,11 @@ root gives a register to each (node, frame) pair it meets, to each R_G
 it needs (one per group and frame, a meet step) and to each frame:
 register 0 holds the block's relation bits, and a see or sse node writes
 a new frame register, shared by updates of the same kind, group and topic
-on the same frame. An eee node is planned as a see node over the whole
-roster, so on one frame [eee] and [see Ag] share one register. The walk
-emits one step per register in dependency order, so a block runs the
-steps in a plain loop, with no recursion and no lookup keyed by a frame's
-value; frames equal by value but built along different paths sit in
-different registers. empty-group and unknown-schema are raised when the
+on the same frame (an [eee] is a see node, so it needs no case of its
+own). The walk emits one step per register in dependency order, so a
+block runs the steps in a plain loop, with no recursion and no lookup
+keyed by a frame's value; frames equal by value but built along different
+paths sit in different registers. empty-group and unknown-schema are raised when the
 plan is built, definition-mismatch when an sse step meets it.
 
 restrict_program drops the agents a program does not read, keeping the
@@ -80,15 +79,15 @@ from .formula import And, D, Eee, Formula, Not, See, Sse, Top, core_form
 from .formula import desugar  # noqa: F401
 from .kripke_core import KripkitError, check_distinct
 
-K_ATOM, K_NOT, K_AND, K_D, K_EEE, K_SEE, K_SSE, K_TOP = range(8)
+K_ATOM, K_NOT, K_AND, K_D, K_SEE, K_SSE, K_TOP = range(7)
 # a plan step only, never a program node: R_G of one frame
-K_MEET = 8
+K_MEET = 7
 
 # A block holds at most 2**LANE_BITS models, and no more than the
 # valuation bits span (L <= n*nat), so its relation bits are all-ones or
-# zero. The plan takes any width; blocks stay narrow because every lane
-# of a block is evaluated before its first failure is reported, so wider
-# blocks delay early failures.
+# zero. The plan takes any width. Blocks of up to B bits delayed no early
+# failure, but the extra ops per run grew kbench's per-op record past its
+# RSS bound, so blocks stay narrow until that record is bounded.
 LANE_BITS = 12
 
 
@@ -124,7 +123,7 @@ def compile_program(phi: Formula, agents, atoms) -> Program:
 
 
 # the node kind of each core class core_form emits
-_KIND = {Not: K_NOT, And: K_AND, D: K_D, Eee: K_EEE, See: K_SEE, Sse: K_SSE}
+_KIND = {Not: K_NOT, And: K_AND, D: K_D, See: K_SEE, Sse: K_SSE}
 
 
 class _Compile:
@@ -139,6 +138,9 @@ class _Compile:
         self.nodes = {}
 
     def emit(self, cls, x=0, y=0, z=0):
+        if cls is Eee:
+            # [eee] is [see Ag] for the whole roster Ag
+            cls, x, y = See, (1 << len(self.agents)) - 1, x
         nodes = self.nodes
         return nodes.setdefault((_KIND[cls], x, y, z), len(nodes))
 
@@ -166,14 +168,12 @@ class _Compile:
 def restrict_program(prog: Program) -> Program:
     """prog over only the agents it reads, kept in roster order: the agents
     of its D, see and sse masks, with the masks renumbered; every atom stays.
-    prog itself when it reads every agent, as it does once an eee node
-    occurs.
+    prog itself when it reads every agent, as it does once an [eee] (a see
+    node over the whole roster) occurs.
 
     The module docstring says why a scan of the result finds the first
     failure of prog's space."""
     kinds, a1 = prog.kinds, prog.a1
-    if K_EEE in kinds:
-        return prog
     amask = 0
     for k, x in zip(kinds, a1):
         if k == K_D or k == K_SEE or k == K_SSE:
@@ -323,10 +323,8 @@ def _reg(i, f, p):
         if x == 0:
             raise KripkitError("empty-group", "D node with empty mask")
         o = _step(p, K_D, _reg(y, f, p), _meet(p, x, f))
-    elif k == K_EEE or k == K_SEE:
-        # [eee] is [see Ag] for the whole roster Ag
-        g, sub = ((1 << p.nag) - 1, x) if k == K_EEE else (x, y)
-        o = _reg(sub, _once(p, ("see", g, f), K_SEE, f, _meet(p, g, f)), p)
+    elif k == K_SEE:
+        o = _reg(y, _once(p, ("see", x, f), K_SEE, f, _meet(p, x, f)), p)
     elif k == K_SSE:
         t, m = _reg(y, f, p), _meet(p, x, f)
         senders = tuple(j for j in range(p.nag) if (x >> j) & 1)

@@ -1,9 +1,10 @@
 """Relation surgery: the three broadcast actions and reading events.
 
 Row-level helpers return successor-bitmask tuples laid out like Model.rows;
-the apply_* wrappers produce fresh Model values. The sse builder computes the
-subtractive and the intersection characterisations independently and insists
-they agree.
+the apply_* wrappers produce fresh Model values. eee and see S are the reading
+events alpha(i) = Ag and alpha(i) = S + {i}, built by one row builder. The sse
+builder computes the subtractive and the intersection characterisations
+independently and insists they agree.
 """
 from __future__ import annotations
 
@@ -38,25 +39,23 @@ def knowing_only_relation(model: Model, topic) -> frozenset:
     return rows_to_pairs(knowing_only_rows(model.n, truth_mask(model, topic)))
 
 
+def _reading_rows(model: Model, masks) -> tuple:
+    """Agent k gets the distributed rows of the agent mask masks[k]
+    (nonempty); each distinct mask is intersected once."""
+    dist = {m: distributed_rows(model, m) for m in set(masks)}
+    return tuple(r for m in masks for r in dist[m])
+
+
 def eee_rows(model: Model) -> tuple:
     """Every agent's relation becomes the whole roster's distributed one."""
     nag = len(model.agents)
-    if nag == 0:
-        return model.rows
-    return distributed_rows(model, (1 << nag) - 1) * nag
+    return _reading_rows(model, ((1 << nag) - 1,) * nag)
 
 
 def see_rows(model: Model, smask: int) -> tuple:
     """R_i intersected with the senders' distributed relation (identity if none)."""
-    if smask == 0:
-        return model.rows
-    n = model.n
-    srows = distributed_rows(model, smask)
-    out = []
-    for a in range(len(model.agents)):
-        base = model.rows[a * n:(a + 1) * n]
-        out.extend(x & y for x, y in zip(base, srows))
-    return tuple(out)
+    return _reading_rows(model,
+                         [smask | 1 << k for k in range(len(model.agents))])
 
 
 def sse_rows(model: Model, smask: int, chi_mask: int) -> tuple:
@@ -119,11 +118,10 @@ def resolve_alpha(model: Model, alpha) -> dict:
 
 
 def read_rows(model: Model, alpha) -> tuple:
+    """Agent i's relation becomes the distributed one of alpha(i)."""
     alpha = resolve_alpha(model, alpha)
-    out = []
-    for i in model.agents:
-        out.extend(distributed_rows(model, group_mask(model, alpha[i])))
-    return tuple(out)
+    return _reading_rows(model,
+                         [group_mask(model, alpha[i]) for i in model.agents])
 
 
 def apply_reading_event(model: Model, alpha) -> Model:

@@ -9,7 +9,7 @@ from kripkit import (And, Atom, Bot, D, Dhat, Eee, Iff, Implies, K,
                      check_validity, desugar, ndc, parse, translate,
                      translate_traced)
 from kripkit import engine
-from kripkit.engine import (K_ATOM, K_D, K_EEE, K_SEE, K_SSE, Program,
+from kripkit.engine import (K_ATOM, K_D, K_SEE, K_SSE, Program,
                             backend_name, compile_program, decode_index,
                             run_one, run_range)
 from kripkit.validity import enumerate_models
@@ -136,6 +136,12 @@ def _group(rng, agents):
     return frozenset(rng.sample(agents, rng.randint(0, len(agents))))
 
 
+def _node_masks(prog):
+    """(kind, a1 is empty, a1 is the whole roster) of each node."""
+    whole = (1 << len(prog.agents)) - 1
+    return {(k, m == 0, m == whole) for k, m in zip(prog.kinds, prog.a1)}
+
+
 @pytest.mark.parametrize("lane_bits", [0, 1, 3, engine.LANE_BITS])
 def test_pure_range_matches_per_model_scan(lane_bits, monkeypatch):
     # the blocked run_range must report the first failure that the
@@ -160,7 +166,7 @@ def test_pure_range_matches_per_model_scan(lane_bits, monkeypatch):
             # a valid program over the same nodes scans its whole range
             phi = Or(phi, Not(phi))
         prog = compile_program(phi, agents, atoms)
-        nodes.update(zip(prog.kinds, [m == 0 for m in prog.a1]))
+        nodes |= _node_masks(prog)
         for n in (1, 2):
             top = 1 << model_bits(n, len(agents), len(atoms))
             ranges = [(0, top), (0, 0), (top - 1, top)]
@@ -195,7 +201,7 @@ def test_pure_range_matches_per_model_scan(lane_bits, monkeypatch):
         if rng.random() < 0.4:
             phi = Or(phi, Not(phi))
         prog = compile_program(phi, agents, atoms)
-        nodes.update(zip(prog.kinds, [m == 0 for m in prog.a1]))
+        nodes |= _node_masks(prog)
         for n in worlds:
             bits = model_bits(n, len(agents), len(atoms))
             top = 1 << bits
@@ -210,8 +216,9 @@ def test_pure_range_matches_per_model_scan(lane_bits, monkeypatch):
                 ranges.append((a, min(top, a + rng.randint(0, window))))
             _assert_ranges_match(prog, phi, n, agents, atoms, ranges, seen)
     assert seen == {True, False}
-    assert {K_EEE, K_SEE, K_SSE} <= {k for k, _ in nodes}
-    assert {(K_SEE, True), (K_SSE, True)} <= nodes
+    # [eee] is a see node whose mask is the whole roster
+    assert (K_SEE, False, True) in nodes
+    assert {(K_SEE, True), (K_SSE, True)} <= {(k, e) for k, e, _ in nodes}
 
 
 def test_pure_range_with_more_valuation_bits_than_lanes():
@@ -281,14 +288,22 @@ def _oracle_scan(phi, n, agents, atoms, start, stop):
 
 
 def test_eee_and_see_of_the_roster_share_one_frame_step():
-    # [eee] is planned as [see Ag] for the whole roster Ag, so on one frame
-    # the two updates write one register
+    # [eee] is compiled as [see Ag] for the whole roster Ag, so the two
+    # updates are one node and on one frame write one register
     atoms = ("p",)
     f = K("a", Atom("p"))
+    for agents, g in (((), Atom("p")), (("a",), f), (AGENTS, f),
+                      (("a", "b", "c"), f)):
+        eee = compile_program(Eee(g), agents, atoms)
+        assert eee == compile_program(See(frozenset(agents), g), agents,
+                                      atoms)
+        assert (eee.kinds[eee.root], eee.a1[eee.root]) == \
+            (K_SEE, (1 << len(agents)) - 1)
     phi = And(Eee(f), See(frozenset(AGENTS), f))
     prog = compile_program(phi, AGENTS, atoms)
+    assert prog.a1[prog.root] == prog.a2[prog.root]
     steps, _ = engine._plan(prog)
-    assert [k for k, *_ in steps if k in (K_EEE, K_SEE, K_SSE)] == [K_SEE]
+    assert [k for k, *_ in steps if k in (K_SEE, K_SSE)] == [K_SEE]
     for n in (1, 2):
         top = 1 << model_bits(n, len(AGENTS), len(atoms))
         worlds = [_first_failing_world(decode_model(i, n, AGENTS, atoms), phi)
@@ -364,7 +379,7 @@ def test_one_program_at_several_sizes_and_widths(monkeypatch):
 def test_programs_of_equivalence_checks_are_pinned():
     # the programs check_equivalence(phi, translate(phi)) compiles for the
     # first 200 criterion-3 formulas; sha256 taken on the compiler that
-    # walked every occurrence of a shared node
+    # emits [eee] as a see node over the whole roster, with no eee kind
     rng = random.Random(31415)
     h, done = hashlib.sha256(), 0
     while done < 200:
@@ -377,7 +392,7 @@ def test_programs_of_equivalence_checks_are_pinned():
                        prog.root)).encode())
         done += 1
     assert h.hexdigest() == \
-        "6dd2a13eea5e68b0e54b84fff07b8591ee6d76429a214e7050245e944389d0f3"
+        "1dba99e7a8f0b9b4d5d7e817e9eb71345d4b3c97279d2f93eeeac6685d6ad57d"
 
 
 def test_shared_program_input_is_compiled_once():

@@ -22,14 +22,22 @@ def named_rels(m):
 
 def test_transforms_match_oracle():
     rng = random.Random(31)
+    # alphas come from a stream of their own, so the models do not depend
+    # on them
+    arng = random.Random(39)
     for _ in range(200):
         m = gen.random_model(rng)
         M = O.to_dict(m)
         chi = gen.random_formula(rng, 2, dynamic=False)
         s = frozenset(rng.sample(m.agents, rng.randint(0, len(m.agents))))
+        alpha = {i: frozenset(arng.sample(m.agents,
+                                          arng.randint(0, len(m.agents))))
+                 | {i} for i in m.agents}
         assert named_rels(apply_eee(m)) == O.t_eee(M)["R"]
         assert named_rels(apply_see(m, s)) == O.t_see(M, s)["R"]
         assert named_rels(apply_sse(m, s, chi)) == O.t_sse(M, s, chi)["R"]
+        assert named_rels(apply_reading_event(m, alpha)) == \
+            O.t_read(M, alpha)["R"]
 
 
 def test_transforms_touch_only_relations():
