@@ -19,18 +19,26 @@ indices of model_bits(n, nag, nat) bits. Layout, most significant bit first:
   valuation bit for atom t, world u:     position n*n*nag + t*n + u
 Index 0 is the all-empty model. That is nag*n relation rows followed by nat
 valuations, each an n-bit word with bit v at position (word*n + v);
-decode_index and model_index convert between indices and those words.
+decode_index and model_index convert between indices and those words, and
+widen_index moves a model of fewer agents into the full roster's space.
 
 The kernel evaluates the program once per aligned block of 2**L consecutive
 indices, with the models of the block as lanes (bitslicing): every index
 bit is a lane vector, an int whose bit i is that index bit of model
 base + i. Bits below L are projections; bits at or above L are all-ones or
-zero for the block. A node's value is one lane vector per world.
+zero for the block. A node's value is one lane vector per world. A scan
+sets once the registers that read only bits below L (at narrow widths,
+every valuation word); each block rebuilds the frame and any valuation
+word that reads a bit at or above L, flipping only the bits that changed
+since the block before, and masks its lanes to [start, stop) only when it
+is the first or last block of a scan and reaches outside the range.
 
 Frames (relation states) are the n*n*nag relation-bit lane vectors in
 layout order, entry k*n*n + u*n + v for R_k(u, v). With R_G(u, v) the AND
-of R_k(u, v) over k in G (all-ones for the empty group):
-  D_G:        out[u] = lanes & ~OR_v(R_G(u, v) & ~sub[v])
+of R_k(u, v) over k in G (all-ones for the empty group; a lone agent's
+rows of the frame itself, read from offset k*n*n):
+  D_G:        out[u] = lanes & ~OR_v(R_G(u, v) & ~sub[v]), and for a
+              complemented child c, lanes & ~OR_v(R_G(u, v) & c[v])
   see S:      agent k gets R_k & R_S
   sse S|chi:  with X(u, v) = chi[u] ^ chi[v], the pairs that cross the
               topic, agent k gets the subtractive form
@@ -41,18 +49,25 @@ The topic is evaluated on every lane at once, so the body of an sse node is
 evaluated once per frame.
 
 The evaluator is a flat plan over a list of registers, built once per
-program on its first non-empty scan and kept on the Program; no register
-or step depends on the world count or the block width. A walk from the
-root gives a register to each (node, frame) pair it meets, to each R_G
-it needs (one per group and frame, a meet step) and to each frame:
-register 0 holds the block's relation bits, and a see or sse node writes
-a new frame register, shared by updates of the same kind, group and topic
-on the same frame (an [eee] is a see node, so it needs no case of its
-own). The walk emits one step per register in dependency order, so a
-block runs the steps in a plain loop, with no recursion and no lookup
-keyed by a frame's value; frames equal by value but built along different
-paths sit in different registers. empty-group and unknown-schema are raised when the
-plan is built, definition-mismatch when an sse step meets it.
+program on its first non-empty scan and kept on the Program; no register or
+step depends on the world count or the block width. A walk from the root
+gives a signed reference to each (node, frame) pair it meets: register r,
+or ~r for the complement of register r. A NOT is a sign, not a step: AND of
+two plain inputs is an AND step, of one complemented input an ANDN step
+(x & ~y), of two an OR step read complemented (~x & ~y is ~(x | y));
+x & x is x and x & ~x is bottom, the complement of top. D of a complemented
+child is a DN step, an sse step reads its topic's register whatever its
+sign (the crossings are an XOR) and a complemented root is read as it
+stands, failing where its register's bits are set. Register 0 holds the
+block's relation bits; a D, see or sse over one agent reads that agent's
+rows of its frame, over two or more a meet step (one per group and frame),
+over none the all-ones rows, and a see or sse node writes a new frame
+register (an [eee] is a see node, so it needs no case of its own). Every
+step is emitted once per distinct (kind, inputs), in dependency order, so a
+block runs the steps in a plain loop, with no recursion and no lookup keyed
+by a frame's value; frames equal by value but built along different paths
+sit in different registers. empty-group and unknown-schema are raised when
+the plan is built, definition-mismatch when an sse step meets it.
 
 restrict_program drops the agents a program does not read, keeping the
 others in roster order. The root's value on a model depends only on the
@@ -72,7 +87,7 @@ vectors and never cut the number of blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import and_
+from operator import and_, or_
 
 from .formula import And, D, Eee, Formula, Not, See, Sse, Top, core_form
 # not called here; kbench's trace sites read it as engine.desugar
@@ -80,14 +95,17 @@ from .formula import desugar  # noqa: F401
 from .kripke_core import KripkitError, check_distinct
 
 K_ATOM, K_NOT, K_AND, K_D, K_SEE, K_SSE, K_TOP = range(7)
-# a plan step only, never a program node: R_G of one frame
-K_MEET = 7
+# plan steps only, never program nodes: R_G of one frame, x & ~y, x | y,
+# and D of a complemented child
+K_MEET, K_ANDN, K_OR, K_DN = range(7, 11)
 
 # A block holds at most 2**LANE_BITS models, and no more than the
 # valuation bits span (L <= n*nat), so its relation bits are all-ones or
 # zero. The plan takes any width. Blocks of up to B bits delayed no early
 # failure, but the extra ops per run grew kbench's per-op record past its
-# RSS bound, so blocks stay narrow until that record is bounded.
+# RSS bound, so blocks stay narrow until that record is bounded. The signed
+# references, the lone agent's frame rows and the once-per-scan set-up cut
+# steps and set-up per block, and are independent of the width.
 LANE_BITS = 12
 
 
@@ -212,6 +230,11 @@ def _space_bits(n: int, nag: int, nat: int) -> int:
     return model_bits(n, nag, nat)
 
 
+def _reversed(x: int, B: int) -> int:
+    """x's B low bits in reverse order."""
+    return int(f"{x:0{B}b}"[::-1], 2)
+
+
 def decode_index(idx: int, n: int, nag: int, nat: int):
     """Relation rows and valuations of model idx < 2**B, as (rows, vals)."""
     B = _space_bits(n, nag, nat)
@@ -219,25 +242,34 @@ def decode_index(idx: int, n: int, nag: int, nat: int):
         raise KripkitError("index-out-of-range",
                            f"model index {idx} outside [0, 2**{B}) "
                            f"at {n} worlds")
-    words = []
-    for j in range(nag * n + nat):
-        word = 0
-        for v in range(n):
-            word |= ((idx >> (B - 1 - (j * n + v))) & 1) << v
-        words.append(word)
+    # position j*n+v, word j's bit v, is bit B-1-(j*n+v) of idx and bit
+    # j*n+v of idx reversed
+    rev, mask = _reversed(idx, B), (1 << n) - 1
+    words = [(rev >> (j * n)) & mask for j in range(nag * n + nat)]
     return tuple(words[:nag * n]), tuple(words[nag * n:])
 
 
 def model_index(model) -> int:
     """Index of a model over w0..w{n-1}; the inverse of decode_index."""
     n = model.n
-    B = model_bits(n, len(model.agents), len(model.atoms))
-    idx = 0
+    rev = 0
     for j, word in enumerate(model.rows + model.vals):
-        for v in range(n):
-            if (word >> v) & 1:
-                idx |= 1 << (B - 1 - (j * n + v))
-    return idx
+        rev |= word << (j * n)
+    return _reversed(rev, model_bits(n, len(model.agents), len(model.atoms)))
+
+
+def widen_index(idx: int, n: int, keep, nag: int, nat: int) -> int:
+    """Index over nag agents of model idx over the agents at the ascending
+    roster positions keep: each kept agent's n*n relation bits move to its
+    roster position, every other agent's relation is empty and the
+    valuation bits stay."""
+    nn, low = n * n, n * nat
+    B, Bk = model_bits(n, nag, nat), model_bits(n, len(keep), nat)
+    out = idx & ((1 << low) - 1)
+    for j, k in enumerate(keep):
+        out |= ((idx >> (Bk - (j + 1) * nn)) & ((1 << nn) - 1)) \
+            << (B - (k + 1) * nn)
+    return out
 
 
 # -- scan kernel --
@@ -257,17 +289,17 @@ _LOW_BITS = tuple(_projections(L)[::-1] for L in range(LANE_BITS + 1))
 
 
 def _plan(prog):
-    """The root's evaluation plan, as (steps, root register); each step
+    """The root's evaluation plan, as (steps, root reference); each step
     (kind, out, x, y, z) writes register out (see the module docstring)."""
     p = _Plan(prog)
     return p.steps, _reg(prog.root, 0, p)
 
 
 class _Plan:
-    """One _plan walk: the program, the steps emitted so far and the
-    register of every (node, frame register) pair, meet and frame met. The
-    walk's functions take it as an argument, so no closure calls itself
-    and a plan leaves no reference cycle."""
+    """One _plan walk: the program, the steps emitted so far, the register
+    of every step and the reference of every (node, frame register) pair
+    met. The walk's functions take it as an argument, so no closure calls
+    itself and a plan leaves no reference cycle."""
     __slots__ = ("prog", "nag", "ones", "steps", "regs")
 
     def __init__(self, prog):
@@ -278,33 +310,36 @@ class _Plan:
         # later one is written by its step, in plan order
         self.ones = 1 + len(prog.atoms)
         self.steps = []
-        # (node, frame register), or a meet or frame key -> register
+        # (kind, x, y, z) of a step -> its register, and
+        # (node, frame register) -> reference
         self.regs = {}
 
 
 def _step(p, kind, x=0, y=0, z=0):
-    o = p.ones + 2 + len(p.steps)
-    p.steps.append((kind, o, x, y, z))
-    return o
-
-
-def _once(p, key, kind, x=0, y=0, z=0):
-    o = p.regs.get(key)
+    """Register of the step (kind, x, y, z), emitted on first use."""
+    o = p.regs.get((kind, x, y, z))
     if o is None:
-        o = p.regs[key] = _step(p, kind, x, y, z)
+        o = p.regs[kind, x, y, z] = p.ones + 2 + len(p.steps)
+        p.steps.append((kind, o, x, y, z))
     return o
 
 
-def _meet(p, g, f):
-    """Register of R_G(u, v) for every pair in frame register f."""
+def _rows(p, g, f):
+    """(register, agent) whose rows at offset agent*n*n are R_G(u, v) for
+    every pair in frame register f: the all-ones rows for the empty group,
+    a lone agent's rows of the frame itself, else one meet step per group
+    and frame."""
     ks = tuple(k for k in range(p.nag) if (g >> k) & 1)
     if not ks:
-        return p.ones
-    return _once(p, ("meet", g, f), K_MEET, f, ks)
+        return p.ones, 0
+    if len(ks) == 1:
+        return f, ks[0]
+    return _step(p, K_MEET, f, ks), 0
 
 
 def _reg(i, f, p):
-    """Register of node i on frame register f."""
+    """Reference to node i on frame register f: register r, or ~r for the
+    complement of register r."""
     prog = p.prog
     k = prog.kinds[i]
     if k == K_ATOM:
@@ -316,20 +351,36 @@ def _reg(i, f, p):
         return o
     x, y = prog.a1[i], prog.a2[i]
     if k == K_NOT:
-        o = _step(p, K_NOT, _reg(x, f, p))
+        o = ~_reg(x, f, p)
     elif k == K_AND:
-        o = _step(p, K_AND, _reg(x, f, p), _reg(y, f, p))
+        a, b = _reg(x, f, p), _reg(y, f, p)
+        if a == b:
+            o = a
+        elif a == ~b:
+            # x & ~x is bottom, the complement of top
+            o = ~(p.ones + 1)
+        elif a >= 0 and b >= 0:
+            o = _step(p, K_AND, min(a, b), max(a, b))
+        elif a >= 0 or b >= 0:
+            # x & ~y, the plain input first
+            o = _step(p, K_ANDN, max(a, b), ~min(a, b))
+        else:
+            # ~a & ~b is ~(a | b)
+            o = ~_step(p, K_OR, min(~a, ~b), max(~a, ~b))
     elif k == K_D:
         if x == 0:
             raise KripkitError("empty-group", "D node with empty mask")
-        o = _step(p, K_D, _reg(y, f, p), _meet(p, x, f))
+        c, (r, ag) = _reg(y, f, p), _rows(p, x, f)
+        o = _step(p, K_D, c, r, ag) if c >= 0 else _step(p, K_DN, ~c, r, ag)
     elif k == K_SEE:
-        o = _reg(y, _once(p, ("see", x, f), K_SEE, f, _meet(p, x, f)), p)
+        o = _reg(y, _step(p, K_SEE, f, _rows(p, x, f)), p)
     elif k == K_SSE:
-        t, m = _reg(y, f, p), _meet(p, x, f)
+        # the crossings chi[u] ^ chi[v] are those of ~chi
+        t = _reg(y, f, p)
+        t = t if t >= 0 else ~t
         senders = tuple(j for j in range(p.nag) if (x >> j) & 1)
         o = _reg(prog.a3[i],
-                 _once(p, ("sse", x, t, f), K_SSE, f, t, (m, senders)), p)
+                 _step(p, K_SSE, f, t, (_rows(p, x, f), senders)), p)
     else:
         raise KripkitError("unknown-schema", f"bad node kind {k}")
     p.regs[i, f] = o
@@ -351,29 +402,36 @@ def _scan(prog: Program, n: int, start: int, stop: int):
     L = min(n * nat, LANE_BITS, (stop - start).bit_length() - 1)
     width = 1 << L
     lanes = (1 << width) - 1
-    low = _LOW_BITS[L]
-    high = range(B - 1, L - 1, -1)
-    init = ([None] * (1 + nat) + [[lanes] * nn, [lanes] * n]
-            + [None] * len(steps))
+    # index bits at or above L (positions below nb = B - L) are all-ones or
+    # zero in a block: the frame and the valuation words of the first `top`
+    # atoms, built per block. Every other atom's word holds only
+    # projections and is set once per scan.
+    nb = B - L
+    top = min(nat, -(-(nb - nr) // n))
     base = start - start % width
-    while base < stop:
-        # the block's index bits in layout order, position j at bit B-1-j
-        bits = [lanes if (base >> b) & 1 else 0 for b in high] + low
-        # a list of its own per block, so that two threads scanning one
+    hb = base >> L
+    bits = ([lanes if (hb >> b) & 1 else 0 for b in range(nb - 1, -1, -1)]
+            + _LOW_BITS[L])
+    init = ([None] * (1 + top)
+            + [bits[i:i + n] for i in range(nr + top * n, B, n)]
+            + [[lanes] * nn, [lanes] * n] + [None] * len(steps))
+    neg = root < 0
+    if neg:
+        root = ~root
+    while True:
+        # lists of its own per block, so that two threads scanning one
         # program do not share registers
         reg = init.copy()
         reg[0] = bits[:nr]
-        reg[1:1 + nat] = [bits[i:i + n] for i in range(nr, B, n)]
+        if top:
+            reg[1:1 + top] = [bits[i:i + n]
+                              for i in range(nr, nr + top * n, n)]
         for k, o, x, y, z in steps:
-            if k == K_AND:
-                reg[o] = list(map(and_, reg[x], reg[y]))
-            elif k == K_NOT:
-                reg[o] = [lanes ^ v for v in reg[x]]
-            elif k == K_D:
+            if k == K_D:
                 # out[u] = AND_v(sub[v] | ~R_G(u, v)); pairs outside R_G
                 # drop out
                 sub, rg = reg[x], reg[y]
-                val, j = [], 0
+                val, j = [], z * nn
                 for _ in range(n):
                     acc = lanes
                     for v in sub:
@@ -383,16 +441,37 @@ def _scan(prog: Program, n: int, start: int, stop: int):
                         j += 1
                     val.append(acc)
                 reg[o] = val
+            elif k == K_SEE:
+                r, ag = y
+                reg[o] = list(map(and_, reg[x],
+                                  reg[r][ag * nn:(ag + 1) * nn] * nag))
             elif k == K_MEET:
                 fr = reg[x]
                 val = fr[y[0] * nn:(y[0] + 1) * nn]
                 for j in y[1:]:
                     val = list(map(and_, val, fr[j * nn:(j + 1) * nn]))
                 reg[o] = val
-            elif k == K_SEE:
-                reg[o] = list(map(and_, reg[x], reg[y] * nag))
+            elif k == K_ANDN:
+                reg[o] = [a & ~b for a, b in zip(reg[x], reg[y])]
+            elif k == K_OR:
+                reg[o] = list(map(or_, reg[x], reg[y]))
+            elif k == K_AND:
+                reg[o] = list(map(and_, reg[x], reg[y]))
+            elif k == K_DN:
+                # D of ~c: sub[v] | ~r is ~(c[v] & r)
+                sub, rg = reg[x], reg[y]
+                val, j = [], z * nn
+                for _ in range(n):
+                    acc = lanes
+                    for v in sub:
+                        r = rg[j]
+                        if r:
+                            acc &= ~(v & r)
+                        j += 1
+                    val.append(acc)
+                reg[o] = val
             else:  # K_SSE
-                fr, chi, (m, senders) = reg[x], reg[y], z
+                fr, chi, ((rs, ag), senders) = reg[x], reg[y], z
                 cross = [cu ^ cv for cu in chi for cv in chi]
                 # subtractive form: cut the pairs that cross the topic
                 # where a sender does not relate them
@@ -403,26 +482,40 @@ def _scan(prog: Program, n: int, start: int, stop: int):
                 sub_form = [v & ~c for v, c in zip(fr, cut * nag)]
                 # intersection form: keep pairs the senders relate or that
                 # stay on one side of the topic
-                keep = [r | ~v for r, v in zip(reg[m], cross)]
+                keep = [r | ~v for r, v in
+                        zip(reg[rs][ag * nn:(ag + 1) * nn], cross)]
                 if sub_form != list(map(and_, fr, keep * nag)):
                     raise KripkitError(
                         "definition-mismatch",
                         "subtractive and intersection forms disagree")
                 reg[o] = sub_form
-        root_val = reg[root]
         bad = 0
-        for x in root_val:
-            bad |= lanes ^ x
-        # only lanes inside [start, stop) count
-        lo, hi = max(start - base, 0), min(stop - base, width)
-        bad &= ((1 << hi) - 1) ^ ((1 << lo) - 1)
+        if neg:
+            for x in reg[root]:
+                bad |= x
+        else:
+            for x in reg[root]:
+                bad |= lanes ^ x
+        if bad and (base < start or base + width > stop):
+            # only lanes inside [start, stop) count
+            lo, hi = max(start - base, 0), min(stop - base, width)
+            bad &= ((1 << hi) - 1) ^ ((1 << lo) - 1)
         if bad:
             i = (bad & -bad).bit_length() - 1
-            for u in range(n):
-                if not (root_val[u] >> i) & 1:
+            for u, x in enumerate(reg[root]):
+                # the root is false where its register's bit is clear, or
+                # set when the root reads the register complemented
+                if (x >> i) & 1 == neg:
                     return base + i, u, base + i - start + 1
         base += width
-    return -1, -1, stop - start
+        if base >= stop:
+            return -1, -1, stop - start
+        # the next block's high bits: hb + 1 flips the trailing ones of hb
+        # and the zero above them
+        flips = (hb ^ (hb + 1)).bit_length()
+        hb += 1
+        for j in range(nb - flips, nb):
+            bits[j] ^= lanes
 
 
 def run_range(prog: Program, n: int, start: int, stop: int):

@@ -4,8 +4,9 @@ Core constructors: Atom, Top, Not, And, D, Eee, See, Sse. Everything else
 (Bot, Or, Implies, Iff, K, Dhat) is sugar, rewritten into the core by
 core_form, the one rewrite, which builds its output through a target:
 _Shared hash-conses the formulas that desugar returns and that one
-translation builds, and symbols_of reads names off it; engine._Compile
-emits the program nodes of compile_program.
+translation builds; symbols_of reads names off _Names, a _Shared that
+interns atoms and groups and builds no node; engine._Compile emits the
+program nodes of compile_program.
 The measures nsc/ndc treat Or/Implies/Iff as primitive binaries and Dhat as
 a primitive so that the reduction bookkeeping stays strictly decreasing.
 """
@@ -135,9 +136,10 @@ class Complexity:
 
 
 def symbols_of(phi: Formula) -> tuple:
-    """(atom names, agent names) mentioned, read off the table that builds
-    phi's core form, which visits each node object once."""
-    t = _Shared()
+    """(atom names, agent names) mentioned, read off the atoms and groups
+    that the walk rewriting phi to its core form interns; it visits each
+    node object once and builds no node."""
+    t = _Names()
     core_form(phi, t)
     return t.atoms(), t.agents()
 
@@ -192,6 +194,15 @@ class _Shared:
     def agents(self) -> frozenset:  # the agents of the groups interned
         return frozenset().union(
             *(g for g in self.nodes.values() if type(g) is frozenset))
+
+
+class _Names(_Shared):
+    """core_form's target for symbols_of: it interns atoms and groups as
+    _Shared does and builds no node, so its table holds only those."""
+
+    def emit(self, cls, x, y=None, z=None):
+        # not None, so that core_form's memo marks the node as visited
+        return cls
 
 
 def _imp(t, a, b):

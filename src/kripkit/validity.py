@@ -27,8 +27,10 @@ from functools import lru_cache
 from itertools import islice
 from typing import Optional
 
-from .engine import (compile_program, decode_index, model_bits, model_index,
-                     restrict_program, run_one, run_range)
+from .engine import (compile_program, decode_index, model_bits,
+                     restrict_program, run_one, run_range, widen_index)
+# decode_model's inverse, imported from here by callers
+from .engine import model_index  # noqa: F401
 from .formula import (And, Atom, D, Dhat, Eee, Formula, Iff, Implies, K, Not,
                       Or, See, Sse)
 from .kripke_core import KripkitError, Model, PointedModel, check_distinct
@@ -79,18 +81,6 @@ def decode_model(idx: int, n: int, agents, atoms) -> Model:
     return Model(worlds, agents, atoms, rows, vals)
 
 
-def _widen(model: Model, agents: tuple) -> Model:
-    """model over the roster agents, which holds model's agents in the same
-    order: every other agent's relation is empty."""
-    n = model.n
-    rows = {a: model.rows[k * n:(k + 1) * n]
-            for k, a in enumerate(model.agents)}
-    empty = (0,) * n
-    return Model(model.worlds, agents, model.atoms,
-                 tuple(r for a in agents for r in rows.get(a, empty)),
-                 model.vals)
-
-
 def enumerate_models(n: int, agents, atoms):
     """All models of the given shape, in index order."""
     agents, atoms = tuple(agents), tuple(atoms)
@@ -121,14 +111,14 @@ def check_validity(phi: Formula, bounds: SearchBounds) -> Verdict:
 
     if bounds.sample is None:
         part = restrict_program(prog)
+        keep = [bounds.agents.index(a) for a in part.agents]
         checked = 0
         for n in range(1, bounds.max_worlds + 1):
             B = model_bits(n, len(part.agents), len(part.atoms))
             idx, w, _ = run_range(part, n, 0, 1 << B)
             if idx >= 0:
-                model = _widen(decode_model(idx, n, part.agents, part.atoms),
-                               bounds.agents)
-                idx = model_index(model)
+                idx = widen_index(idx, n, keep, nag, nat)
+                model = decode_model(idx, n, bounds.agents, bounds.atoms)
                 return Verdict(False, checked + idx + 1,
                                _reverified(phi, model, w), idx)
             checked += 1 << model_bits(n, nag, nat)

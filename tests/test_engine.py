@@ -142,13 +142,41 @@ def _node_masks(prog):
     return {(k, m == 0, m == whole) for k, m in zip(prog.kinds, prog.a1)}
 
 
+def _step_forms(prog):
+    """The forms of prog's plan steps that the kernel evaluates apart: AND
+    with one complemented input, with two (an OR read complemented), D of
+    a complemented child, D on a lone agent's frame rows or on a meet, and
+    a complemented root."""
+    steps, root = engine._plan(prog)
+    kind_of = {o: k for k, o, *_ in steps}
+    forms = {"not root"} if root < 0 else set()
+    for k, o, x, y, z in steps:
+        if k == engine.K_ANDN:
+            forms.add("and one not")
+        elif k == engine.K_OR:
+            forms.add("and two not")
+        elif k in (K_D, engine.K_DN):
+            if k == engine.K_DN:
+                forms.add("D not")
+            rows = kind_of.get(y)
+            if y == 0 or rows in (K_SEE, K_SSE):
+                forms.add("D frame rows")
+            elif rows == engine.K_MEET:
+                forms.add("D meet")
+    return forms
+
+
+STEP_FORMS = {"and one not", "and two not", "D not", "D frame rows",
+              "D meet", "not root"}
+
+
 @pytest.mark.parametrize("lane_bits", [0, 1, 3, engine.LANE_BITS])
 def test_pure_range_matches_per_model_scan(lane_bits, monkeypatch):
     # the blocked run_range must report the first failure that the
     # reference semantics finds model by model, on every range
     monkeypatch.setattr(engine, "LANE_BITS", lane_bits)
     rng = random.Random(63 + lane_bits)
-    seen, nodes = set(), set()
+    seen, nodes, forms = set(), set(), set()
     for trial in range(16):
         agents = AGENTS[:rng.randint(1, 2)]
         atoms = ATOMS[:rng.randint(1, 2)]
@@ -167,6 +195,7 @@ def test_pure_range_matches_per_model_scan(lane_bits, monkeypatch):
             phi = Or(phi, Not(phi))
         prog = compile_program(phi, agents, atoms)
         nodes |= _node_masks(prog)
+        forms |= _step_forms(prog)
         for n in (1, 2):
             top = 1 << model_bits(n, len(agents), len(atoms))
             ranges = [(0, top), (0, 0), (top - 1, top)]
@@ -202,6 +231,7 @@ def test_pure_range_matches_per_model_scan(lane_bits, monkeypatch):
             phi = Or(phi, Not(phi))
         prog = compile_program(phi, agents, atoms)
         nodes |= _node_masks(prog)
+        forms |= _step_forms(prog)
         for n in worlds:
             bits = model_bits(n, len(agents), len(atoms))
             top = 1 << bits
@@ -219,6 +249,39 @@ def test_pure_range_matches_per_model_scan(lane_bits, monkeypatch):
     # [eee] is a see node whose mask is the whole roster
     assert (K_SEE, False, True) in nodes
     assert {(K_SEE, True), (K_SSE, True)} <= {(k, e) for k, e, _ in nodes}
+    assert forms == STEP_FORMS
+
+
+def _widen(model, agents):
+    """model over the roster agents, which holds model's agents in the same
+    order: every other agent's relation is empty."""
+    n = model.n
+    rows = {a: model.rows[k * n:(k + 1) * n]
+            for k, a in enumerate(model.agents)}
+    return Model(model.worlds, agents, model.atoms,
+                 tuple(r for a in agents for r in rows.get(a, (0,) * n)),
+                 model.vals)
+
+
+def test_widened_index_equals_the_widened_model_index():
+    # widen_index moves each kept agent's relation field to its roster
+    # position; the reference decodes, widens the model and encodes again
+    rng = random.Random(81)
+    met = set()
+    for agents, atoms, _ in SCAN_SHAPES:
+        for n in (1, 2, 3):
+            for _ in range(12):
+                keep = sorted(rng.sample(range(len(agents)),
+                                         rng.randint(0, len(agents))))
+                kept = tuple(agents[k] for k in keep)
+                idx = rng.randrange(1 << model_bits(n, len(kept), len(atoms)))
+                want = engine.model_index(
+                    _widen(decode_model(idx, n, kept, atoms), agents))
+                assert engine.widen_index(idx, n, keep, len(agents),
+                                          len(atoms)) == want, \
+                    (agents, atoms, n, keep, idx)
+                met.add(len(agents) - len(keep))
+    assert met == {0, 1, 2, 3}
 
 
 def test_pure_range_with_more_valuation_bits_than_lanes():
