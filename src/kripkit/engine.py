@@ -66,8 +66,17 @@ register (an [eee] is a see node, so it needs no case of its own). Every
 step is emitted once per distinct (kind, inputs), in dependency order, so a
 block runs the steps in a plain loop, with no recursion and no lookup keyed
 by a frame's value; frames equal by value but built along different paths
-sit in different registers. empty-group and unknown-schema are raised when
-the plan is built, definition-mismatch when an sse step meets it.
+sit in different registers. A step holds the registers it reads in fixed
+fields, so that one backward pass from the root, after the walk has folded
+x & x and x & ~x, keeps the steps the root reads, directly or through other
+steps: a step nothing reads is not in the plan, sse steps excepted, since
+each one checks definition-mismatch. Only a fold or a see frame that no
+step reads leaves a step unread, and the walk notes both, so a plan with
+neither skips the pass. Registers keep their numbers, and a scan's register
+list runs up to the last one the plan writes. So no block builds the frame
+of an update over an atom ([see S] p is p) or runs the steps under a fold.
+empty-group and unknown-schema are raised when the plan is built,
+definition-mismatch when an sse step meets it.
 
 restrict_program drops the agents a program does not read, keeping the
 others in roster order. The root's value on a model depends only on the
@@ -104,8 +113,8 @@ K_MEET, K_ANDN, K_OR, K_DN = range(7, 11)
 # zero. The plan takes any width. Blocks of up to B bits delayed no early
 # failure, but the extra ops per run grew kbench's per-op record past its
 # RSS bound, so blocks stay narrow until that record is bounded. The signed
-# references, the lone agent's frame rows and the once-per-scan set-up cut
-# steps and set-up per block, and are independent of the width.
+# references, the lone agent's frame rows, the once-per-scan set-up and the
+# dropped unread steps cut work per block, and are independent of the width.
 LANE_BITS = 12
 
 
@@ -289,10 +298,27 @@ _LOW_BITS = tuple(_projections(L)[::-1] for L in range(LANE_BITS + 1))
 
 
 def _plan(prog):
-    """The root's evaluation plan, as (steps, root reference); each step
-    (kind, out, x, y, z) writes register out (see the module docstring)."""
+    """The root's evaluation plan, as (steps, root reference): the steps
+    the root reads and every sse step (see the module docstring). A step
+    (kind, out, x, y, w, z) writes register out from the registers x, y
+    and w (0 where it reads fewer) and its other argument z."""
     p = _Plan(prog)
-    return p.steps, _reg(prog.root, 0, p)
+    root = _reg(prog.root, 0, p)
+    # a node's register goes up, through NOTs and update bodies, to the
+    # root or to the AND, D or sse step of a parent, and a meet step's to
+    # the step that asked for it; so only a fold or a see frame that no
+    # step reads leaves a step unread
+    if not p.unread:
+        return p.steps, root
+    live = {root if root >= 0 else ~root}
+    steps = []
+    for s in reversed(p.steps):
+        k, o, x, y, w, z = s
+        if o in live or k == K_SSE:
+            live |= {x, y, w}
+            steps.append(s)
+    steps.reverse()
+    return steps, root
 
 
 class _Plan:
@@ -300,27 +326,32 @@ class _Plan:
     of every step and the reference of every (node, frame register) pair
     met. The walk's functions take it as an argument, so no closure calls
     itself and a plan leaves no reference cycle."""
-    __slots__ = ("prog", "nag", "ones", "steps", "regs")
+    __slots__ = ("prog", "nag", "ones", "steps", "regs", "frames_read",
+                 "unread")
 
     def __init__(self, prog):
         self.prog = prog
         self.nag = len(prog.agents)
         # register 0 holds the block's frame, 1..nat its atom values, the
         # next one R_G for the empty group and the one after it top; every
-        # later one is written by its step, in plan order
+        # later one is written by its step, in plan order, if it is kept
         self.ones = 1 + len(prog.atoms)
         self.steps = []
-        # (kind, x, y, z) of a step -> its register, and
+        # (kind, x, y, w, z) of a step -> its register, and
         # (node, frame register) -> reference
         self.regs = {}
+        # the frame registers some step reads, and whether a fold or a see
+        # frame that no step reads may have left a step unread
+        self.frames_read = set()
+        self.unread = False
 
 
-def _step(p, kind, x=0, y=0, z=0):
-    """Register of the step (kind, x, y, z), emitted on first use."""
-    o = p.regs.get((kind, x, y, z))
+def _step(p, kind, x, y=0, w=0, z=0):
+    """Register of the step (kind, x, y, w, z), emitted on first use."""
+    o = p.regs.get((kind, x, y, w, z))
     if o is None:
-        o = p.regs[kind, x, y, z] = p.ones + 2 + len(p.steps)
-        p.steps.append((kind, o, x, y, z))
+        o = p.regs[kind, x, y, w, z] = p.ones + 2 + len(p.steps)
+        p.steps.append((kind, o, x, y, w, z))
     return o
 
 
@@ -329,12 +360,14 @@ def _rows(p, g, f):
     every pair in frame register f: the all-ones rows for the empty group,
     a lone agent's rows of the frame itself, else one meet step per group
     and frame."""
+    # every caller emits a step that reads frame f
+    p.frames_read.add(f)
     ks = tuple(k for k in range(p.nag) if (g >> k) & 1)
     if not ks:
         return p.ones, 0
     if len(ks) == 1:
         return f, ks[0]
-    return _step(p, K_MEET, f, ks), 0
+    return _step(p, K_MEET, f, z=ks), 0
 
 
 def _reg(i, f, p):
@@ -354,11 +387,10 @@ def _reg(i, f, p):
         o = ~_reg(x, f, p)
     elif k == K_AND:
         a, b = _reg(x, f, p), _reg(y, f, p)
-        if a == b:
-            o = a
-        elif a == ~b:
-            # x & ~x is bottom, the complement of top
-            o = ~(p.ones + 1)
+        if a == b or a == ~b:
+            # x & x is x, and x & ~x is bottom, the complement of top
+            o = a if a == b else ~(p.ones + 1)
+            p.unread = True
         elif a >= 0 and b >= 0:
             o = _step(p, K_AND, min(a, b), max(a, b))
         elif a >= 0 or b >= 0:
@@ -371,16 +403,21 @@ def _reg(i, f, p):
         if x == 0:
             raise KripkitError("empty-group", "D node with empty mask")
         c, (r, ag) = _reg(y, f, p), _rows(p, x, f)
-        o = _step(p, K_D, c, r, ag) if c >= 0 else _step(p, K_DN, ~c, r, ag)
+        o = (_step(p, K_D, c, r, z=ag) if c >= 0
+             else _step(p, K_DN, ~c, r, z=ag))
     elif k == K_SEE:
-        o = _reg(y, _step(p, K_SEE, f, _rows(p, x, f)), p)
+        r, ag = _rows(p, x, f)
+        g = _step(p, K_SEE, f, r, z=ag)
+        o = _reg(y, g, p)
+        if g not in p.frames_read:
+            p.unread = True
     elif k == K_SSE:
         # the crossings chi[u] ^ chi[v] are those of ~chi
         t = _reg(y, f, p)
         t = t if t >= 0 else ~t
+        r, ag = _rows(p, x, f)
         senders = tuple(j for j in range(p.nag) if (x >> j) & 1)
-        o = _reg(prog.a3[i],
-                 _step(p, K_SSE, f, t, (_rows(p, x, f), senders)), p)
+        o = _reg(prog.a3[i], _step(p, K_SSE, f, r, t, (ag, senders)), p)
     else:
         raise KripkitError("unknown-schema", f"bad node kind {k}")
     p.regs[i, f] = o
@@ -414,7 +451,9 @@ def _scan(prog: Program, n: int, start: int, stop: int):
             + _LOW_BITS[L])
     init = ([None] * (1 + top)
             + [bits[i:i + n] for i in range(nr + top * n, B, n)]
-            + [[lanes] * nn, [lanes] * n] + [None] * len(steps))
+            + [[lanes] * nn, [lanes] * n]
+            # registers nat+3 up to the last one the plan writes
+            + [None] * (steps[-1][1] - nat - 2 if steps else 0))
     neg = root < 0
     if neg:
         root = ~root
@@ -426,7 +465,7 @@ def _scan(prog: Program, n: int, start: int, stop: int):
         if top:
             reg[1:1 + top] = [bits[i:i + n]
                               for i in range(nr, nr + top * n, n)]
-        for k, o, x, y, z in steps:
+        for k, o, x, y, w, z in steps:
             if k == K_D:
                 # out[u] = AND_v(sub[v] | ~R_G(u, v)); pairs outside R_G
                 # drop out
@@ -442,13 +481,12 @@ def _scan(prog: Program, n: int, start: int, stop: int):
                     val.append(acc)
                 reg[o] = val
             elif k == K_SEE:
-                r, ag = y
                 reg[o] = list(map(and_, reg[x],
-                                  reg[r][ag * nn:(ag + 1) * nn] * nag))
+                                  reg[y][z * nn:(z + 1) * nn] * nag))
             elif k == K_MEET:
                 fr = reg[x]
-                val = fr[y[0] * nn:(y[0] + 1) * nn]
-                for j in y[1:]:
+                val = fr[z[0] * nn:(z[0] + 1) * nn]
+                for j in z[1:]:
                     val = list(map(and_, val, fr[j * nn:(j + 1) * nn]))
                 reg[o] = val
             elif k == K_ANDN:
@@ -471,7 +509,7 @@ def _scan(prog: Program, n: int, start: int, stop: int):
                     val.append(acc)
                 reg[o] = val
             else:  # K_SSE
-                fr, chi, ((rs, ag), senders) = reg[x], reg[y], z
+                fr, chi, (ag, senders) = reg[x], reg[w], z
                 cross = [cu ^ cv for cu in chi for cv in chi]
                 # subtractive form: cut the pairs that cross the topic
                 # where a sender does not relate them
@@ -483,7 +521,7 @@ def _scan(prog: Program, n: int, start: int, stop: int):
                 # intersection form: keep pairs the senders relate or that
                 # stay on one side of the topic
                 keep = [r | ~v for r, v in
-                        zip(reg[rs][ag * nn:(ag + 1) * nn], cross)]
+                        zip(reg[y][ag * nn:(ag + 1) * nn], cross)]
                 if sub_form != list(map(and_, fr, keep * nag)):
                     raise KripkitError(
                         "definition-mismatch",

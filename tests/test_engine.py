@@ -150,7 +150,7 @@ def _step_forms(prog):
     steps, root = engine._plan(prog)
     kind_of = {o: k for k, o, *_ in steps}
     forms = {"not root"} if root < 0 else set()
-    for k, o, x, y, z in steps:
+    for k, o, x, y, w, z in steps:
         if k == engine.K_ANDN:
             forms.add("and one not")
         elif k == engine.K_OR:
@@ -377,6 +377,47 @@ def test_eee_and_see_of_the_roster_share_one_frame_step():
             want = ((fails[0], worlds[fails[0]], fails[0] - start + 1)
                     if fails else (-1, -1, top - start))
             assert run_range(prog, n, start, top) == want, (n, start)
+
+
+def test_excluded_middle_plans_no_step():
+    # phi | ~phi folds to top, so no step below the fold is planned: only an
+    # sse step would stay
+    rng = random.Random(91)
+    planned = dropped = 0
+    while planned < 24:
+        phi = gen.random_formula(rng, 4, ATOMS, AGENTS)
+        phi = (Eee(phi), See(_group(rng, AGENTS), phi), phi)[planned % 3]
+        prog = compile_program(phi, AGENTS, ATOMS)
+        if K_SSE in prog.kinds:
+            continue
+        dropped += len(engine._plan(prog)[0])
+        prog = compile_program(Or(phi, Not(phi)), AGENTS, ATOMS)
+        # the top register follows the frame, the atoms and the empty
+        # group's rows
+        assert engine._plan(prog) == ([], len(ATOMS) + 2), phi
+        top = 1 << model_bits(2, len(AGENTS), len(ATOMS))
+        assert run_range(prog, 2, 0, top) == (-1, -1, top)
+        planned += 1
+    assert dropped
+
+
+@pytest.mark.parametrize("body", [Atom("p"), And(Atom("p"), Atom("p"))],
+                         ids=["p", "p-and-p"])
+def test_a_kept_sse_step_still_checks_its_two_forms(monkeypatch, body):
+    # [sse {a} | p] p is p: the sse step writes a frame nothing reads, yet it
+    # is planned, and it still compares its subtractive and intersection
+    # forms on every block. The fold of p & p makes the plan run its
+    # backward pass, which keeps the step too.
+    prog = compile_program(Sse(frozenset("a"), Atom("p"), body),
+                           ("a",), ("p",))
+    steps, root = engine._plan(prog)
+    assert [k for k, *_ in steps] == [K_SSE] and root == 1
+    top = 1 << model_bits(2, 1, 1)
+    assert run_range(prog, 2, 0, top) == (0, 0, 1)
+    monkeypatch.setattr(engine, "and_", engine.or_)
+    with pytest.raises(KripkitError) as e:
+        run_range(prog, 2, 0, top)
+    assert e.value.code == "definition-mismatch"
 
 
 @pytest.mark.parametrize("wrap", ["eee-eee", "see-see", "sse-still"])

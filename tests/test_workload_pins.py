@@ -8,9 +8,10 @@ their traces) keeps these digests.
 """
 import hashlib
 import sys
+from collections import Counter
 from pathlib import Path
 
-from kripkit import check_validity, parse, print_formula, truth_mask
+from kripkit import check_validity, engine, parse, print_formula, truth_mask
 from kripkit.translate import translate_traced
 
 import oracle_eval as O
@@ -64,6 +65,32 @@ def test_axiom_sweep_verdicts_are_pinned():
     assert h.hexdigest() == (
         "a3b13130bf92f994075edef73a88e371"
         "2ef4f38ce251d227b9f2e4bdb3dcfd37")
+
+
+def test_axiom_sweep_plans_hold_only_steps_that_are_read():
+    # a plan keeps a step only if the root or a later step reads its
+    # register, or if it is an sse step (each one checks
+    # definition-mismatch); the count of steps is pinned
+    ops = _ops("axiom-sweep", 101, "eee663b8b3ddf38537f8b0ce79dc7b34"
+                                   "23bf87a569ea58855d539c43ab35d272")[:3000]
+    assert len(ops) == 3000
+    bounds = workloads.AXIOM_BOUNDS
+    kinds = Counter()
+    for text in ops:
+        steps, root = engine._plan(engine.restrict_program(
+            engine.compile_program(parse(text), bounds.agents,
+                                   bounds.atoms)))
+        read = {root if root >= 0 else ~root}
+        for k, o, x, y, w, z in reversed(steps):
+            assert o in read or k == engine.K_SSE, text
+            read.update((x, y, w))
+        kinds.update(k for k, *_ in steps)
+    # 3.657 steps per op
+    assert sum(kinds.values()) == 10970
+    assert kinds == {engine.K_AND: 490, engine.K_ANDN: 2361,
+                     engine.K_OR: 998, engine.K_D: 3150, engine.K_DN: 733,
+                     engine.K_MEET: 1372, engine.K_SEE: 750,
+                     engine.K_SSE: 1116}
 
 
 def test_translate_check_results_are_pinned():
