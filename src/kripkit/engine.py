@@ -27,11 +27,11 @@ indices, with the models of the block as lanes (bitslicing): every index
 bit is a lane vector, an int whose bit i is that index bit of model
 base + i. Bits below L are projections; bits at or above L are all-ones or
 zero for the block. A node's value is one lane vector per world. A scan
-sets once the registers that read only bits below L (at narrow widths,
-every valuation word); each block rebuilds the frame and any valuation
-word that reads a bit at or above L, flipping only the bits that changed
-since the block before, and masks its lanes to [start, stop) only when it
-is the first or last block of a scan and reaches outside the range.
+builds its registers once, register 0 being its list of index bits; each
+block flips in place the bits at or above L (the frame's) that changed
+since the block before, slices again each valuation word that reads one,
+and masks its lanes to [start, stop) only when it is the first or last
+block of a scan and reaches outside the range.
 
 Frames (relation states) are the n*n*nag relation-bit lane vectors in
 layout order, entry k*n*n + u*n + v for R_k(u, v). With R_G(u, v) the AND
@@ -59,11 +59,12 @@ x & x is x and x & ~x is bottom, the complement of top. D of a complemented
 child is a DN step, an sse step reads its topic's register whatever its
 sign (the crossings are an XOR) and a complemented root is read as it
 stands, failing where its register's bits are set. Register 0 holds the
-block's relation bits; a D, see or sse over one agent reads that agent's
-rows of its frame, over two or more a meet step (one per group and frame),
-over none the all-ones rows, and a see or sse node writes a new frame
-register (an [eee] is a see node, so it needs no case of its own). Every
-step is emitted once per distinct (kind, inputs), in dependency order, so a
+block's index bits, relation bits first, read up to the n*n*nag-th; a D,
+see or sse over one agent reads that agent's rows of its frame, over two
+or more a meet step (one per group and frame), over none the all-ones
+rows, and a see or sse node writes a new frame register (an [eee] is a
+see node, so it needs no case of its own). Every step is emitted once
+per distinct (kind, inputs), in dependency order, so a
 block runs the steps in a plain loop, with no recursion and no lookup keyed
 by a frame's value; frames equal by value but built along different paths
 sit in different registers. A step holds the registers it reads in fixed
@@ -73,8 +74,10 @@ steps: a step nothing reads is not in the plan, sse steps excepted, since
 each one checks definition-mismatch. Only a fold or a see frame that no
 step reads leaves a step unread, and the walk notes both, so a plan with
 neither skips the pass. Registers keep their numbers, and a scan's register
-list runs up to the last one the plan writes. So no block builds the frame
-of an update over an atom ([see S] p is p) or runs the steps under a fold.
+list runs up to the last one the plan writes; each block writes its steps'
+registers into it, each after those it reads (any other still holds None
+on the first block). So no block builds the frame of an update over an
+atom ([see S] p is p) or runs the steps under a fold.
 empty-group and unknown-schema are raised when the plan is built,
 definition-mismatch when an sse step meets it.
 
@@ -96,6 +99,7 @@ vectors and never cut the number of blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from operator import and_, or_
 
 from .formula import And, D, Eee, Formula, Not, See, Sse, Top, core_form
@@ -113,8 +117,9 @@ K_MEET, K_ANDN, K_OR, K_DN = range(7, 11)
 # zero. The plan takes any width. Blocks of up to B bits delayed no early
 # failure, but the extra ops per run grew kbench's per-op record past its
 # RSS bound, so blocks stay narrow until that record is bounded. The signed
-# references, the lone agent's frame rows, the once-per-scan set-up and the
-# dropped unread steps cut work per block, and are independent of the width.
+# references, the lone agent's frame rows, the register list built once per
+# scan (each block flips the frame's changed bits in place) and the dropped
+# unread steps cut work per block, and are independent of the width.
 LANE_BITS = 12
 
 
@@ -427,7 +432,8 @@ def _reg(i, f, p):
 def _scan(prog: Program, n: int, start: int, stop: int):
     """First failure among indices [start, stop), as (index, its smallest
     failing world, models checked) or (-1, -1, checked). A block has no more
-    lanes than the range has models, so one index is one lane."""
+    lanes than the range has models, so one index is one lane. It builds
+    its registers once; each block flips the frame's changed bits in place."""
     if stop <= start:
         return -1, -1, 0
     if prog.plan is None:
@@ -440,28 +446,25 @@ def _scan(prog: Program, n: int, start: int, stop: int):
     width = 1 << L
     lanes = (1 << width) - 1
     # index bits at or above L (positions below nb = B - L) are all-ones or
-    # zero in a block: the frame and the valuation words of the first `top`
-    # atoms, built per block. Every other atom's word holds only
-    # projections and is set once per scan.
+    # zero in a block: the frame, flipped in place, and the valuation words
+    # of the first `top` atoms, sliced per block. Every other atom's word
+    # holds only projections and is set once per scan.
     nb = B - L
     top = min(nat, -(-(nb - nr) // n))
     base = start - start % width
     hb = base >> L
     bits = ([lanes if (hb >> b) & 1 else 0 for b in range(nb - 1, -1, -1)]
             + _LOW_BITS[L])
-    init = ([None] * (1 + top)
-            + [bits[i:i + n] for i in range(nr + top * n, B, n)]
-            + [[lanes] * nn, [lanes] * n]
-            # registers nat+3 up to the last one the plan writes
-            + [None] * (steps[-1][1] - nat - 2 if steps else 0))
+    # register 0 is bits: every frame reader stops at its nr relation bits
+    reg = ([bits] + [None] * top
+           + [bits[i:i + n] for i in range(nr + top * n, B, n)]
+           + [[lanes] * nn, [lanes] * n]
+           # registers nat+3 up to the last one the plan writes
+           + [None] * (steps[-1][1] - nat - 2 if steps else 0))
     neg = root < 0
     if neg:
         root = ~root
     while True:
-        # lists of its own per block, so that two threads scanning one
-        # program do not share registers
-        reg = init.copy()
-        reg[0] = bits[:nr]
         if top:
             reg[1:1 + top] = [bits[i:i + n]
                               for i in range(nr, nr + top * n, n)]
@@ -527,13 +530,9 @@ def _scan(prog: Program, n: int, start: int, stop: int):
                         "definition-mismatch",
                         "subtractive and intersection forms disagree")
                 reg[o] = sub_form
-        bad = 0
-        if neg:
-            for x in reg[root]:
-                bad |= x
-        else:
-            for x in reg[root]:
-                bad |= lanes ^ x
+        # every register lies within the lanes
+        bad = (reduce(or_, reg[root]) if neg
+               else lanes ^ reduce(and_, reg[root]))
         if bad and (base < start or base + width > stop):
             # only lanes inside [start, stop) count
             lo, hi = max(start - base, 0), min(stop - base, width)

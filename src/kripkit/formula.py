@@ -165,7 +165,7 @@ class _Shared:
     node is keyed by its class and the ids of its up to three arguments
     (groups are interned too, a missing argument is None), so no lookup
     hashes a subtree; the table holds its nodes, so no id is reused. Each
-    node it builds gets its (ndc, nsc) pair from its children's then."""
+    node it builds or Atom or Top it interns has its (ndc, nsc) pair."""
 
     def __init__(self):
         self.nodes = {}
@@ -180,8 +180,11 @@ class _Shared:
         return got
 
     def atom(self, f):
-        return self.nodes.setdefault(
+        got = self.nodes.setdefault(
             (Atom, f.name) if isinstance(f, Atom) else (Top,), f)
+        if got._measures_ is None:
+            _pair(got)
+        return got
 
     def group(self, g):
         g = frozenset(g)
@@ -287,11 +290,11 @@ def _core(f: Formula, t, done: dict):
 # The (ndc, nsc) pair of a node is made once, by _pair from its children's
 # pairs, and kept on the node under this one attribute; a second lazily set
 # attribute would cost every node a full instance dict. _Shared applies
-# _pair to each node it builds, so desugar's and a translation's nodes carry
-# their pairs from birth; _measures gives a pair to any other node when
-# first asked. Equal pairs are shared through _PAIRS (one entry per distinct pair,
-# a few hundred over hundreds of stacked-update translations), so the cache
-# adds no tuple per node. Construction, equality and hashing are untouched:
+# _pair to each node it builds and each Atom or Top it interns, so their
+# pairs are set from birth; _measures pairs any other node, children first.
+# Equal pairs are shared through _PAIRS (one entry per distinct pair, a few
+# hundred over hundreds of stacked-update translations), so the cache adds
+# no tuple per node. Construction, equality and hashing are untouched:
 # the attribute is not a dataclass field. Formula declares it as None, so
 # reading an unset pair is a plain attribute read that does not raise.
 _MEASURES = "_measures_"
@@ -299,31 +302,26 @@ _PAIRS: dict = {}
 
 
 def _pair(phi: Formula) -> tuple:
-    """phi's (ndc, nsc), made by its class's rule from its children's pairs
-    and cached on phi; a child without a pair gets one from _measures."""
+    """phi's (ndc, nsc), made by its class's rule from its children's pairs,
+    which it reads as set, and cached on phi."""
     t = type(phi)
     if t is Not or t is D or t is K:
-        sub = phi.sub
-        d, s = sub._measures_ or _measures(sub)
+        d, s = phi.sub._measures_
         pair = (d, 1 + s)
     elif t is And or t is Or or t is Implies or t is Iff:
-        left, right = phi.left, phi.right
-        d1, s1 = left._measures_ or _measures(left)
-        d2, s2 = right._measures_ or _measures(right)
+        d1, s1 = phi.left._measures_
+        d2, s2 = phi.right._measures_
         pair = (d1 if d1 > d2 else d2, 1 + (s1 if s1 > s2 else s2))
     elif t is Eee or t is See:
-        sub = phi.sub
-        d, s = sub._measures_ or _measures(sub)
+        d, s = phi.sub._measures_
         pair = (1 + d, 2 * s)
     elif t is Sse:
-        topic, sub = phi.topic, phi.sub
-        dt, st = topic._measures_ or _measures(topic)
-        ds, ss = sub._measures_ or _measures(sub)
+        dt, st = phi.topic._measures_
+        ds, ss = phi.sub._measures_
         pair = (1 + dt + ds, (8 + st) * ss)
     elif t is Dhat:
-        topic, sub = phi.topic, phi.sub
-        dt, _ = topic._measures_ or _measures(topic)
-        ds, ss = sub._measures_ or _measures(sub)
+        dt, _ = phi.topic._measures_
+        ds, ss = phi.sub._measures_
         pair = (max(dt, ds), 7 + ss)
     elif t is Atom or t is Top:
         pair = (0, 1)

@@ -1,6 +1,8 @@
 import gc
 import hashlib
 import random
+import sys
+import threading
 
 import pytest
 
@@ -497,6 +499,39 @@ def test_programs_of_equivalence_checks_are_pinned():
         done += 1
     assert h.hexdigest() == \
         "1dba99e7a8f0b9b4d5d7e817e9eb71345d4b3c97279d2f93eeeac6685d6ad57d"
+
+
+def test_two_threads_scanning_one_program_get_sequential_results():
+    # each scan builds its own register list, so two threads scanning one
+    # Program at once, each over its own half of the 3-world space, get
+    # what the same scans get one after the other
+    prog = compile_program(parse("(D{a,b} p -> [see b] K_a p) & "
+                                 "([see a] K_b q -> K_a K_b q)"),
+                           AGENTS, ATOMS)
+    top = 1 << model_bits(3, len(AGENTS), len(ATOMS))
+    # windows of 32 blocks of 64 lanes
+    parts = [[(a, a + 2048) for a in range(h, h + top // 2, top // 256)]
+             for h in (0, top // 2)]
+    want = [[run_range(prog, 3, a, b) for a, b in part] for part in parts]
+    got = [None, None]
+
+    def scan(i):
+        got[i] = [run_range(prog, 3, a, b) for a, b in parts[i]]
+
+    interval = sys.getswitchinterval()
+    # hand the GIL over every few steps, not every few blocks
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=scan, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+    assert {r[0] < 0 for part in want for r in part} == {True, False}
 
 
 def test_shared_program_input_is_compiled_once():

@@ -70,7 +70,9 @@ def test_axiom_sweep_verdicts_are_pinned():
 def test_axiom_sweep_plans_hold_only_steps_that_are_read():
     # a plan keeps a step only if the root or a later step reads its
     # register, or if it is an sse step (each one checks
-    # definition-mismatch); the count of steps is pinned
+    # definition-mismatch); the count of steps is pinned. A step reads only
+    # registers set once per scan (below nat + 3) or written by an earlier
+    # step, as the scan's one register list for all its blocks needs
     ops = _ops("axiom-sweep", 101, "eee663b8b3ddf38537f8b0ce79dc7b34"
                                    "23bf87a569ea58855d539c43ab35d272")[:3000]
     assert len(ops) == 3000
@@ -84,6 +86,11 @@ def test_axiom_sweep_plans_hold_only_steps_that_are_read():
         for k, o, x, y, w, z in reversed(steps):
             assert o in read or k == engine.K_SSE, text
             read.update((x, y, w))
+        written = set(range(len(bounds.atoms) + 3))
+        for k, o, x, y, w, z in steps:
+            assert {x, y, w} <= written, text
+            written.add(o)
+        assert (root if root >= 0 else ~root) in written, text
         kinds.update(k for k, *_ in steps)
     # 3.657 steps per op
     assert sum(kinds.values()) == 10970
