@@ -50,9 +50,9 @@ evaluated once per frame.
 
 The evaluator is a flat plan over a list of registers, built once per
 program on its first non-empty scan and kept on the Program; no register or
-step depends on the world count or the block width. A walk from the root
-gives a signed reference to each (node, frame) pair it meets: register r,
-or ~r for the complement of register r. A NOT is a sign, not a step: AND of
+step depends on the world count or the block width. The planner gives a
+signed reference to each (node, frame) pair the root reads: register r, or
+~r for the complement of register r. A NOT is a sign, not a step: AND of
 two plain inputs is an AND step, of one complemented input an ANDN step
 (x & ~y), of two an OR step read complemented (~x & ~y is ~(x | y));
 x & x is x and x & ~x is bottom, the complement of top. D of a complemented
@@ -63,23 +63,33 @@ block's index bits, relation bits first, read up to the n*n*nag-th; a D,
 see or sse over one agent reads that agent's rows of its frame, over two
 or more a meet step (one per group and frame), over none the all-ones
 rows, and a see or sse node writes a new frame register (an [eee] is a
-see node, so it needs no case of its own). Every step is emitted once
-per distinct (kind, inputs), in dependency order, so a
-block runs the steps in a plain loop, with no recursion and no lookup keyed
-by a frame's value; frames equal by value but built along different paths
-sit in different registers. A step holds the registers it reads in fixed
-fields, so that one backward pass from the root, after the walk has folded
-x & x and x & ~x, keeps the steps the root reads, directly or through other
-steps: a step nothing reads is not in the plan, sse steps excepted, since
-each one checks definition-mismatch. Only a fold or a see frame that no
-step reads leaves a step unread, and the walk notes both, so a plan with
-neither skips the pass. Registers keep their numbers, and a scan's register
-list runs up to the last one the plan writes; each block writes its steps'
-registers into it, each after those it reads (any other still holds None
-on the first block). So no block builds the frame of an update over an
-atom ([see S] p is p) or runs the steps under a fold.
-empty-group and unknown-schema are raised when the plan is built,
-definition-mismatch when an sse step meets it.
+see node, so it needs no case of its own).
+A node's children come before it in the program, as compile_program emits
+them, so a frame is planned in two passes over the node arrays and no
+recursion: a backward one marks the nodes the frame's top node reads on
+it (all but those read only through the body of a see or sse node), and a
+forward one gives each marked node its reference from its children's. A
+see or sse node plans its body the same way on the frame its step writes,
+once per (body, frame), so updates that share a frame and a body below
+them plan it once.
+Every step is emitted once per distinct (kind, inputs), in dependency
+order, so a block runs the steps in a plain loop, with no recursion and no
+lookup keyed by a frame's value; frames equal by value but built along
+different paths sit in different registers. A step holds the registers it
+reads in fixed fields, so that one backward pass from the root, after the
+planner has folded x & x and x & ~x, keeps the steps the root reads,
+directly or through other steps: a step nothing reads is not in the plan,
+sse steps excepted, since each one checks definition-mismatch. Only a fold
+or a see frame that no step reads leaves a step unread, and the planner
+notes both, so a plan with neither skips the pass. Registers keep their
+numbers, and a scan's register list runs up to the last one the plan
+writes; each block writes its steps' registers into it, each after those
+it reads (any other still holds None on the first block). So no block
+builds the frame of an update over an atom ([see S] p is p) or runs the
+steps under a fold.
+empty-group and unknown-schema (also for a node that reads one not before
+it) are raised when the plan is built, definition-mismatch when an sse
+step meets it.
 
 restrict_program drops the agents a program does not read, keeping the
 others in roster order. The root's value on a model depends only on the
@@ -92,9 +102,11 @@ first failure of the full space has those rows empty: it is the widening
 of a model of the smaller space, and as widening keeps the index order,
 it is the widening of the first failure of the smaller space, failing at
 the same world. A scan of the smaller space covers 2**(bits kept) models
-where the full space has 2**B. Atoms are not dropped: valuation bits
-become lanes, so while n*nat <= LANE_BITS fewer atoms only narrow the lane
-vectors and never cut the number of blocks.
+where the full space has 2**B. A program has a handful of distinct masks,
+so each is renumbered once and written back at the D, see and sse nodes
+that hold it. Atoms are not dropped: valuation bits become lanes, so while
+n*nat <= LANE_BITS fewer atoms only narrow the lane vectors and never cut
+the number of blocks.
 """
 from __future__ import annotations
 
@@ -205,22 +217,24 @@ def restrict_program(prog: Program) -> Program:
 
     The module docstring says why a scan of the result finds the first
     failure of prog's space."""
-    kinds, a1 = prog.kinds, prog.a1
-    amask = 0
-    for k, x in zip(kinds, a1):
-        if k == K_D or k == K_SEE or k == K_SSE:
-            amask |= x
+    # the D, see and sse nodes (kinds K_D to K_SSE) and their masks
+    a1 = prog.a1
+    at = [i for i, k in enumerate(prog.kinds) if K_D <= k <= K_SSE]
+    masks = {a1[i] for i in at}
+    amask = reduce(or_, masks, 0)
     keep = [k for k in range(len(prog.agents)) if (amask >> k) & 1]
     if len(keep) == len(prog.agents):
         return prog
-
-    def renumber(k, x):
-        if k == K_D or k == K_SEE or k == K_SSE:
-            return sum(1 << j for j, a in enumerate(keep) if (x >> a) & 1)
-        return x
-
-    return Program(kinds, tuple(map(renumber, kinds, a1)), prog.a2, prog.a3,
-                   prog.root, tuple(prog.agents[k] for k in keep), prog.atoms)
+    # each distinct mask renumbered once
+    new = dict.fromkeys(masks, 0)
+    for j, k in enumerate(keep):
+        for m in masks:
+            new[m] |= ((m >> k) & 1) << j
+    a1 = list(a1)
+    for i in at:
+        a1[i] = new[a1[i]]
+    return Program(prog.kinds, tuple(a1), prog.a2, prog.a3, prog.root,
+                   tuple(prog.agents[k] for k in keep), prog.atoms)
 
 
 def backend_name() -> str:
@@ -308,7 +322,7 @@ def _plan(prog):
     (kind, out, x, y, w, z) writes register out from the registers x, y
     and w (0 where it reads fewer) and its other argument z."""
     p = _Plan(prog)
-    root = _reg(prog.root, 0, p)
+    root = _frame(p, prog.root, 0)
     # a node's register goes up, through NOTs and update bodies, to the
     # root or to the AND, D or sse step of a parent, and a meet step's to
     # the step that asked for it; so only a fold or a see frame that no
@@ -327,10 +341,10 @@ def _plan(prog):
 
 
 class _Plan:
-    """One _plan walk: the program, the steps emitted so far, the register
-    of every step and the reference of every (node, frame register) pair
-    met. The walk's functions take it as an argument, so no closure calls
-    itself and a plan leaves no reference cycle."""
+    """One _plan call: the program, the steps emitted so far and the
+    register of every step. The planner's functions take it as an
+    argument, so no closure calls itself and a plan leaves no reference
+    cycle."""
     __slots__ = ("prog", "nag", "ones", "steps", "regs", "frames_read",
                  "unread")
 
@@ -342,8 +356,8 @@ class _Plan:
         # later one is written by its step, in plan order, if it is kept
         self.ones = 1 + len(prog.atoms)
         self.steps = []
-        # (kind, x, y, w, z) of a step -> its register, and
-        # (node, frame register) -> reference
+        # (kind, x, y, w, z) of a step -> its register, and (body node,
+        # frame register) of a see or sse body planned -> its reference
         self.regs = {}
         # the frame registers some step reads, and whether a fold or a see
         # frame that no step reads may have left a step unread
@@ -351,11 +365,12 @@ class _Plan:
         self.unread = False
 
 
-def _step(p, kind, x, y=0, w=0, z=0):
+def _step(p, kind, x, y, w, z):
     """Register of the step (kind, x, y, w, z), emitted on first use."""
-    o = p.regs.get((kind, x, y, w, z))
+    key = (kind, x, y, w, z)
+    o = p.regs.get(key)
     if o is None:
-        o = p.regs[kind, x, y, w, z] = p.ones + 2 + len(p.steps)
+        o = p.regs[key] = p.ones + 2 + len(p.steps)
         p.steps.append((kind, o, x, y, w, z))
     return o
 
@@ -367,66 +382,110 @@ def _rows(p, g, f):
     and frame."""
     # every caller emits a step that reads frame f
     p.frames_read.add(f)
-    ks = tuple(k for k in range(p.nag) if (g >> k) & 1)
-    if not ks:
+    if not g:
         return p.ones, 0
-    if len(ks) == 1:
-        return f, ks[0]
-    return _step(p, K_MEET, f, z=ks), 0
+    if not g & (g - 1):
+        return f, g.bit_length() - 1
+    return _step(p, K_MEET, f, 0, 0,
+                 tuple(k for k in range(p.nag) if (g >> k) & 1)), 0
 
 
-def _reg(i, f, p):
-    """Reference to node i on frame register f: register r, or ~r for the
-    complement of register r."""
+def _misordered(i, c):
+    return KripkitError("unknown-schema",
+                        f"node {i} reads node {c}, which is not before it")
+
+
+def _frame(p, top, f):
+    """Reference to node top on frame register f: register r, or ~r for
+    the complement of register r.
+
+    The nodes top reads on f are those it reaches other than through the
+    body of a see or sse node. They come before it, children first, so one
+    backward pass marks them and one forward pass gives each its reference
+    from its children's. A see or sse node's body is read on the frame its
+    step writes, by a call of its own (_body)."""
     prog = p.prog
-    k = prog.kinds[i]
-    if k == K_ATOM:
-        return 1 + prog.a1[i]
-    if k == K_TOP:
-        return p.ones + 1
-    o = p.regs.get((i, f))
-    if o is not None:
-        return o
-    x, y = prog.a1[i], prog.a2[i]
-    if k == K_NOT:
-        o = ~_reg(x, f, p)
-    elif k == K_AND:
-        a, b = _reg(x, f, p), _reg(y, f, p)
-        if a == b or a == ~b:
-            # x & x is x, and x & ~x is bottom, the complement of top
-            o = a if a == b else ~(p.ones + 1)
-            p.unread = True
-        elif a >= 0 and b >= 0:
-            o = _step(p, K_AND, min(a, b), max(a, b))
-        elif a >= 0 or b >= 0:
-            # x & ~y, the plain input first
-            o = _step(p, K_ANDN, max(a, b), ~min(a, b))
+    kinds, a1, a2 = prog.kinds, prog.a1, prog.a2
+    need = bytearray(top + 1)
+    need[top] = 1
+    for i in range(top, -1, -1):
+        if need[i]:
+            k = kinds[i]
+            if k == K_AND:
+                x, y = a1[i], a2[i]
+                if x >= i or y >= i:
+                    raise _misordered(i, max(x, y))
+                need[x] = need[y] = 1
+            elif k == K_NOT or k == K_D or k == K_SSE:
+                x = a1[i] if k == K_NOT else a2[i]
+                if x >= i:
+                    raise _misordered(i, x)
+                need[x] = 1
+    ref = [0] * (top + 1)
+    for i in range(top + 1):
+        if not need[i]:
+            continue
+        k = kinds[i]
+        if k == K_NOT:
+            ref[i] = ~ref[a1[i]]
+        elif k == K_ATOM:
+            ref[i] = 1 + a1[i]
+        elif k == K_AND:
+            a, b = ref[a1[i]], ref[a2[i]]
+            if a == b or a == ~b:
+                # x & x is x, and x & ~x is bottom, the complement of top
+                ref[i] = a if a == b else ~(p.ones + 1)
+                p.unread = True
+            elif a >= 0 and b >= 0:
+                ref[i] = _step(p, K_AND, min(a, b), max(a, b), 0, 0)
+            elif a >= 0 or b >= 0:
+                # x & ~y, the plain input first
+                ref[i] = _step(p, K_ANDN, max(a, b), ~min(a, b), 0, 0)
+            else:
+                # ~a & ~b is ~(a | b)
+                ref[i] = ~_step(p, K_OR, min(~a, ~b), max(~a, ~b), 0, 0)
+        elif k == K_D:
+            if not a1[i]:
+                raise KripkitError("empty-group", "D node with empty mask")
+            c = ref[a2[i]]
+            r, ag = _rows(p, a1[i], f)
+            ref[i] = (_step(p, K_D, c, r, 0, ag) if c >= 0
+                      else _step(p, K_DN, ~c, r, 0, ag))
+        elif k == K_TOP:
+            ref[i] = p.ones + 1
+        elif k == K_SEE:
+            body = a2[i]
+            if body >= i:
+                raise _misordered(i, body)
+            r, ag = _rows(p, a1[i], f)
+            g = _step(p, K_SEE, f, r, 0, ag)
+            ref[i] = _body(p, body, g)
+            if g not in p.frames_read:
+                p.unread = True
+        elif k == K_SSE:
+            body = prog.a3[i]
+            if body >= i:
+                raise _misordered(i, body)
+            # the crossings chi[u] ^ chi[v] are those of ~chi
+            t = ref[a2[i]]
+            t = t if t >= 0 else ~t
+            x = a1[i]
+            r, ag = _rows(p, x, f)
+            senders = tuple(j for j in range(p.nag) if (x >> j) & 1)
+            ref[i] = _body(p, body, _step(p, K_SSE, f, r, t, (ag, senders)))
         else:
-            # ~a & ~b is ~(a | b)
-            o = ~_step(p, K_OR, min(~a, ~b), max(~a, ~b))
-    elif k == K_D:
-        if x == 0:
-            raise KripkitError("empty-group", "D node with empty mask")
-        c, (r, ag) = _reg(y, f, p), _rows(p, x, f)
-        o = (_step(p, K_D, c, r, z=ag) if c >= 0
-             else _step(p, K_DN, ~c, r, z=ag))
-    elif k == K_SEE:
-        r, ag = _rows(p, x, f)
-        g = _step(p, K_SEE, f, r, z=ag)
-        o = _reg(y, g, p)
-        if g not in p.frames_read:
-            p.unread = True
-    elif k == K_SSE:
-        # the crossings chi[u] ^ chi[v] are those of ~chi
-        t = _reg(y, f, p)
-        t = t if t >= 0 else ~t
-        r, ag = _rows(p, x, f)
-        senders = tuple(j for j in range(p.nag) if (x >> j) & 1)
-        o = _reg(prog.a3[i], _step(p, K_SSE, f, r, t, (ag, senders)), p)
-    else:
-        raise KripkitError("unknown-schema", f"bad node kind {k}")
-    p.regs[i, f] = o
-    return o
+            raise KripkitError("unknown-schema", f"bad node kind {k}")
+    return ref[top]
+
+
+def _body(p, body, g):
+    """Reference to the body of a see or sse node on the frame register g
+    its step writes, planned once per (body, frame): updates that share a
+    frame and a body below them would otherwise plan it once per path."""
+    got = p.regs.get((body, g))
+    if got is None:
+        got = p.regs[body, g] = _frame(p, body, g)
+    return got
 
 
 def _scan(prog: Program, n: int, start: int, stop: int):

@@ -245,41 +245,43 @@ def _too_deep(what: str) -> KripkitError:
 
 
 def _core(f: Formula, t, done: dict):
-    """core_form's recursion; done maps the id of each node met, but an
-    Atom or Top, to its output, and f keeps those nodes alive."""
-    if isinstance(f, (Atom, Top)):
-        return t.atom(f)
+    """core_form's recursion; done maps the id of each node met to its
+    output, and f keeps those nodes alive. The case is picked by the type
+    of f, the commonest first."""
     got = done.get(id(f))
     if got is not None:
         return got
+    c = type(f)
     emit = t.emit
-    if isinstance(f, Not):
+    if c is Atom or c is Top:
+        out = t.atom(f)
+    elif c is Not:
         out = emit(Not, _core(f.sub, t, done))
-    elif isinstance(f, And):
+    elif c is And:
         out = emit(And, _core(f.left, t, done), _core(f.right, t, done))
-    elif isinstance(f, Or):  # ~(~a & ~b)
+    elif c is D:
+        out = emit(D, t.group(f.group), _core(f.sub, t, done))
+    elif c is Implies:
+        out = _imp(t, _core(f.left, t, done), _core(f.right, t, done))
+    elif c is Or:  # ~(~a & ~b)
         out = emit(Not, emit(And, emit(Not, _core(f.left, t, done)),
                              emit(Not, _core(f.right, t, done))))
-    elif isinstance(f, Implies):
-        out = _imp(t, _core(f.left, t, done), _core(f.right, t, done))
-    elif isinstance(f, Iff):  # (a -> b) & (b -> a)
+    elif c is Iff:  # (a -> b) & (b -> a)
         a, b = _core(f.left, t, done), _core(f.right, t, done)
         out = emit(And, _imp(t, a, b), _imp(t, b, a))
-    elif isinstance(f, K):  # D{agent}
+    elif c is K:  # D{agent}
         out = emit(D, t.group((f.agent,)), _core(f.sub, t, done))
-    elif isinstance(f, D):
-        out = emit(D, t.group(f.group), _core(f.sub, t, done))
-    elif isinstance(f, Eee):
-        out = emit(Eee, _core(f.sub, t, done))
-    elif isinstance(f, See):
+    elif c is See:
         out = emit(See, t.group(f.group), _core(f.sub, t, done))
-    elif isinstance(f, Sse):
+    elif c is Sse:
         out = emit(Sse, t.group(f.group), _core(f.topic, t, done),
                    _core(f.sub, t, done))
-    elif isinstance(f, Dhat):
+    elif c is Eee:
+        out = emit(Eee, _core(f.sub, t, done))
+    elif c is Dhat:
         chi = _core(f.topic, t, done)
         out = _dhat(t, t.group(f.group), chi, _core(f.sub, t, done))
-    elif isinstance(f, Bot):  # ~Top
+    elif c is Bot:  # ~Top
         out = emit(Not, t.atom(Top()))
     else:
         raise KripkitError("not-a-formula", repr(f))
@@ -408,10 +410,10 @@ _BINARY = {symbol.strip(): (t, prec, right)
            for t, (symbol, prec, right) in _INFIX.items()}
 
 
-def _tokenize(text: str):
-    """(kind, value) pairs, ending with ("eof", ""); a K_agent token has
-    the agent as its value, and every other token but an identifier is its
-    own kind.
+def _tokenize(text: str) -> list:
+    """The tokens of text as strings in reverse order, the end-of-input
+    token "" first, so that a parser takes the next token with pop() and
+    looks at it with [-1].
 
     findall skips what no token matches, so the text is tokenized exactly
     when the tokens make up all of it but its whitespace."""
@@ -425,142 +427,165 @@ def _tokenize(text: str):
         pos = _SPACE_RE.match(text, pos).end()
         raise KripkitError("syntax-error",
                            f"position {pos}: unexpected character {text[pos]!r}")
-    out = []
-    for t in toks:
-        if t[:2] == "K_":
-            out.append(("kop", t[2:]))
-        elif t[0].islower():
-            out.append(("ident", t))
-        else:
-            out.append((t, t))
-    out.append(("eof", ""))
-    return out
+    toks.append("")
+    toks.reverse()
+    return toks
+
+
+def _shown(tok: str) -> str:
+    """A token as error messages show it: a K_agent token as its agent."""
+    return tok[2:] if tok[:2] == "K_" else tok
 
 
 class _Parser:
+    """One parse: the tokens not yet taken, in reverse order (see _tokenize),
+    and a table of the nodes built, keyed by the text of an atom or constant
+    and otherwise by class, group or agent and the ids of the children, so
+    that equal subformulas are one object. The table holds its nodes, so no id
+    is reused.
+
+    A token is classified where it is read: an identifier starts with a
+    lowercase letter, a K_agent token with "K_", and every other token is
+    compared as it stands, the end of input being "". A prefix operator
+    recurses once per level (unary) and a parenthesis twice (formula and
+    unary)."""
+    __slots__ = ("text", "toks", "n", "nodes")
+
     def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
-        self.i = 0
+        self.n = len(self.toks)
+        self.nodes = {}
 
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def error(self, code, message, i=None):
-        """KripkitError at token i (by default the last one taken), with
+    def error(self, code, message, left=None):
+        """KripkitError at the token that has `left` tokens from it to the
+        end of input, itself included (by default the last one taken), with
         its position in the text, found only here."""
-        if i is None:
-            i = self.i - 1
+        i = self.n - (len(self.toks) + 1 if left is None else left)
         starts = [m.start(1) for m in _TOKEN_RE.finditer(self.text)]
         pos = starts[i] if i < len(starts) else len(self.text)
         return KripkitError(code, f"position {pos}: {message}")
 
-    def expect(self, kind):
-        t = self.next()
-        if t[0] != kind:
+    def expect(self, tok):
+        t = self.toks.pop()
+        if t != tok:
             raise self.error("syntax-error",
-                             f"expected {kind!r}, got {t[1]!r}")
+                             f"expected {tok!r}, got {_shown(t)!r}")
+
+    def ident(self) -> str:
+        t = self.toks.pop()
+        if not t[:1].islower():
+            raise self.error("syntax-error",
+                             f"expected 'ident', got {_shown(t)!r}")
         return t
+
+    def agents(self) -> frozenset:
+        toks = self.toks
+        if not toks[-1][:1].islower():
+            return frozenset()
+        agents = [toks.pop()]
+        while toks[-1] == ",":
+            toks.pop()
+            agents.append(self.ident())
+        return frozenset(agents)
+
+    def node(self, key, cls, *args) -> Formula:
+        """The node of key in the table, built as cls(*args) on first use."""
+        got = self.nodes.get(key)
+        if got is None:
+            got = self.nodes[key] = cls(*args)
+        return got
 
     def formula(self, prec=_PREC_IFF) -> Formula:
         """A formula whose binary connectives bind at precedence prec or
         tighter (precedence climbing over _BINARY)."""
         out = self.unary()
-        while True:
-            op = _BINARY.get(self.peek()[0])
-            if op is None or op[1] < prec:
-                return out
+        toks = self.toks
+        op = _BINARY.get(toks[-1])
+        while op is not None and op[1] >= prec:
+            toks.pop()
             t, p, right_assoc = op
-            self.next()
-            out = t(out, self.formula(p if right_assoc else p + 1))
-
-    def agent_list(self):
-        agents = []
-        if self.peek()[0] == "ident":
-            agents.append(self.next()[1])
-            while self.peek()[0] == ",":
-                self.next()
-                agents.append(self.expect("ident")[1])
-        return frozenset(agents)
+            rhs = self.formula(p if right_assoc else p + 1)
+            out = self.node((t, id(out), id(rhs)), t, out, rhs)
+            op = _BINARY.get(toks[-1])
+        return out
 
     def unary(self) -> Formula:
-        at = self.i
-        kind, value = self.toks[at]
-        if kind == "~":
-            self.next()
-            return Not(self.unary())
-        if kind == "kop":
-            self.next()
-            return K(value, self.unary())
-        if kind == "D":
-            self.next()
-            self.expect("{")
-            g = self.agent_list()
-            self.expect("}")
-            if not g:
-                raise self.error("empty-group", "D{} is not a modality", at)
-            return D(g, self.unary())
-        if kind == "Dhat":
-            self.next()
-            self.expect("{")
-            g = self.agent_list()
-            if not g:
-                raise self.error("empty-group", "Dhat{} is not a modality",
-                                 at)
-            self.expect("|")
-            chi = self.formula()
-            self.expect("}")
-            return Dhat(g, chi, self.unary())
-        if kind == "[":
-            self.next()
-            op = self.expect("ident")
-            if op[1] == "eee":
-                self.expect("]")
-                return Eee(self.unary())
-            if op[1] == "see":
-                g = self.agent_list()
-                self.expect("]")
-                return See(g, self.unary())
-            if op[1] == "sse":
-                g = self.agent_list()
-                self.expect("|")
-                chi = self.formula()
-                self.expect("]")
-                return Sse(g, chi, self.unary())
-            raise self.error("syntax-error", f"unknown operator [{op[1]}]")
-        return self.primary()
-
-    def primary(self) -> Formula:
-        t = self.next()
-        kind = t[0]
-        if kind == "ident":
-            if t[1] == "true":
-                return Top()
-            if t[1] == "false":
-                return Bot()
-            return Atom(t[1])
-        if kind == "(":
+        toks, nodes = self.toks, self.nodes
+        t = toks.pop()
+        got = nodes.get(t)
+        if got is not None:  # an atom or constant read before
+            return got
+        if t[:1].islower():
+            out = nodes[t] = (Top() if t == "true" else
+                              Bot() if t == "false" else Atom(t))
+            return out
+        if t == "~":
+            sub = self.unary()
+            return self.node((Not, id(sub)), Not, sub)
+        if t == "(":
             inner = self.formula()
             self.expect(")")
             return inner
-        raise self.error("syntax-error", f"expected a formula, got {t[1]!r}")
+        if t[:2] == "K_":
+            sub = self.unary()
+            return self.node((K, t, id(sub)), K, t[2:], sub)
+        if t == "D":
+            left = len(toks) + 1
+            self.expect("{")
+            g = self.agents()
+            self.expect("}")
+            if not g:
+                raise self.error("empty-group", "D{} is not a modality", left)
+            sub = self.unary()
+            return self.node((D, g, id(sub)), D, g, sub)
+        if t == "Dhat":
+            left = len(toks) + 1
+            self.expect("{")
+            g = self.agents()
+            if not g:
+                raise self.error("empty-group", "Dhat{} is not a modality",
+                                 left)
+            self.expect("|")
+            chi = self.formula()
+            self.expect("}")
+            sub = self.unary()
+            return self.node((Dhat, g, id(chi), id(sub)), Dhat, g, chi, sub)
+        if t == "[":
+            op = self.ident()
+            if op == "eee":
+                self.expect("]")
+                sub = self.unary()
+                return self.node((Eee, id(sub)), Eee, sub)
+            if op == "see":
+                g = self.agents()
+                self.expect("]")
+                sub = self.unary()
+                return self.node((See, g, id(sub)), See, g, sub)
+            if op == "sse":
+                g = self.agents()
+                self.expect("|")
+                chi = self.formula()
+                self.expect("]")
+                sub = self.unary()
+                return self.node((Sse, g, id(chi), id(sub)), Sse, g, chi, sub)
+            raise self.error("syntax-error", f"unknown operator [{op}]")
+        raise self.error("syntax-error",
+                         f"expected a formula, got {_shown(t)!r}")
 
 
 def parse(text: str) -> Formula:
+    """The formula text denotes; equal subformulas are one object."""
     p = _Parser(text)
     try:
         out = p.formula()
     except RecursionError:
         raise KripkitError("syntax-error",
                            "formula nested too deeply") from None
-    t = p.peek()
-    if t[0] != "eof":
-        raise p.error("syntax-error", f"trailing input {t[1]!r}", p.i)
+    t = p.toks[-1]
+    if t:
+        raise p.error("syntax-error", f"trailing input {_shown(t)!r}",
+                      len(p.toks))
     return out
 
 

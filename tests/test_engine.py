@@ -331,6 +331,25 @@ def test_hand_built_bad_programs_error(scan):
     assert e.value.code == "unknown-schema"
 
 
+@pytest.mark.parametrize("kinds, a1, a2, a3", [
+    ((engine.K_NOT, K_ATOM), (1, 0), (0, 0), (0, 0)),
+    ((engine.K_AND, K_ATOM), (1, 1), (1, 0), (0, 0)),
+    ((engine.K_NOT,), (0,), (0,), (0,)),
+    ((K_SEE, K_ATOM), (1, 0), (1, 0), (0, 0)),
+    ((K_ATOM, K_SSE, K_ATOM), (0, 1, 0), (0, 0, 0), (0, 2, 0)),
+], ids=["not", "and", "self", "see-body", "sse-body"])
+def test_a_node_that_reads_a_later_one_is_refused(kinds, a1, a2, a3):
+    # the planner reads each frame in node order, children first, as
+    # compile_program emits them
+    prog = Program(kinds=kinds, a1=a1, a2=a2, a3=a3,
+                   root=kinds.index(K_SSE) if K_SSE in kinds else 0,
+                   agents=AGENTS, atoms=ATOMS)
+    with pytest.raises(KripkitError) as e:
+        run_range(prog, 1, 0, 4)
+    assert e.value.code == "unknown-schema"
+    assert "which is not before it" in str(e.value)
+
+
 def test_hand_built_bad_programs_on_an_empty_range():
     # an empty range returns before the schedule is built
     for kinds, a1 in (((K_ATOM, K_D), (0, 0)), ((99,), (0,))):
@@ -676,3 +695,27 @@ def test_checks_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_updates_sharing_a_frame_plan_their_body_once(monkeypatch):
+    # [see a] W & [see a] (W & p) writes one frame for both updates, and W
+    # holds the same pair one level down: planned once per (body, frame),
+    # the plan takes two body passes per level, where one per path would
+    # take 2**depth
+    depth = 12
+    p = Atom("p")
+    w = K("a", p)
+    for _ in range(depth):
+        w = And(See(frozenset("a"), w), See(frozenset("a"), And(w, p)))
+    prog = compile_program(w, ("a",), ("p",))
+    passes = []
+    frame = engine._frame
+    monkeypatch.setattr(engine, "_frame",
+                        lambda p, top, f: passes.append(top) or
+                        frame(p, top, f))
+    steps, root = engine._plan(prog)
+    assert len(passes) == 1 + 2 * depth
+    assert [k for k, *_ in steps].count(K_SEE) == depth
+    top = 1 << model_bits(1, 1, 1)
+    assert run_range(prog, 1, 0, top) == \
+        _oracle_scan(w, 1, ("a",), ("p",), 0, top)

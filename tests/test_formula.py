@@ -108,6 +108,17 @@ def test_deep_nesting_is_a_syntax_error(text):
     assert str(e.value) == "syntax-error: formula nested too deeply"
 
 
+def test_nesting_below_the_floor_parses():
+    # depths the parser must keep accepting: from a plain script it takes
+    # at least 330 parentheses and 990 ~, and the test runner's own frames
+    # take some of that
+    assert parse("(" * 300 + "p" + ")" * 300) == Atom("p")
+    f = parse("~" * 900 + "p")
+    for _ in range(900):
+        f = f.sub
+    assert f == Atom("p")
+
+
 def test_syntax_error_reports_position():
     with pytest.raises(KripkitError) as e:
         parse("p & $")

@@ -100,6 +100,56 @@ def test_axiom_sweep_plans_hold_only_steps_that_are_read():
                      engine.K_SSE: 1116}
 
 
+def test_refute_plans_hold_only_steps_that_are_read():
+    # every refute op planned as check_validity plans it: the program
+    # restricted to the agents it reads for an exhaustive op, the full one
+    # for a sampled op. The plan invariants are those of the axiom-sweep
+    # plans above, and the count of steps of each kind is pinned
+    ops = _ops("refute", 103, "786bdfe65627afb50e0c871696eb5fb7"
+                              "f36044f2a6c1d8ee5accdca60599f529")
+    assert len(ops) == 6606
+    kinds = Counter()
+    for text, bounds, _ in ops:
+        prog = engine.compile_program(parse(text), bounds.agents,
+                                      bounds.atoms)
+        if bounds.sample is None:
+            prog = engine.restrict_program(prog)
+        steps, root = engine._plan(prog)
+        read = {root if root >= 0 else ~root}
+        for k, o, x, y, w, z in reversed(steps):
+            assert o in read or k == engine.K_SSE, text
+            read.update((x, y, w))
+        written = set(range(len(bounds.atoms) + 3))
+        for k, o, x, y, w, z in steps:
+            assert {x, y, w} <= written, text
+            written.add(o)
+        assert (root if root >= 0 else ~root) in written, text
+        kinds.update(k for k, *_ in steps)
+    # 5.013 steps per op
+    assert sum(kinds.values()) == 33115
+    assert kinds == {engine.K_AND: 1954, engine.K_ANDN: 7977,
+                     engine.K_OR: 6080, engine.K_D: 4388, engine.K_DN: 8472,
+                     engine.K_MEET: 3030, engine.K_SEE: 802,
+                     engine.K_SSE: 412}
+
+
+def test_every_benchmark_text_round_trips():
+    # the formula text of every op of the three pinned workloads is printed
+    # back as it was read, so a parse keeps each of them whole
+    texts = list(_ops("axiom-sweep", 101,
+                      "eee663b8b3ddf38537f8b0ce79dc7b34"
+                      "23bf87a569ea58855d539c43ab35d272"))
+    texts += [op[0] for op in _ops("refute", 103,
+                                   "786bdfe65627afb50e0c871696eb5fb7"
+                                   "f36044f2a6c1d8ee5accdca60599f529")]
+    texts += [op[0] for op in _ops("translate-check", 61,
+                                   "c17752a0c96d002324fa68a71ea1887c"
+                                   "56caa4b4c065c36911a4230d883425a9")]
+    assert len(texts) == 3000 + 6606 + 2040
+    for text in texts:
+        assert print_formula(parse(text)) == text
+
+
 def test_translate_check_results_are_pinned():
     ops = _ops("translate-check", 61, "c17752a0c96d002324fa68a71ea1887c"
                                        "56caa4b4c065c36911a4230d883425a9")[:200]
