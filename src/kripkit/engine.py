@@ -39,7 +39,8 @@ of R_k(u, v) over k in G (all-ones for the empty group; a lone agent's
 rows of the frame itself, read from offset k*n*n):
   D_G:        out[u] = lanes & ~OR_v(R_G(u, v) & ~sub[v]), and for a
               complemented child c, lanes & ~OR_v(R_G(u, v) & c[v])
-  see S:      agent k gets R_k & R_S
+  see S:      agent k gets R_k & R_S: a see frame (register f, mask s)
+              has R_G = R_{G|s} of f, and is a register only under an sse
   sse S|chi:  with X(u, v) = chi[u] ^ chi[v], the pairs that cross the
               topic, agent k gets the subtractive form
               R_k & ~OR_{j in S}(~R_j & X) and the intersection form
@@ -59,19 +60,20 @@ x & x is x and x & ~x is bottom, the complement of top. D of a complemented
 child is a DN step, an sse step reads its topic's register whatever its
 sign (the crossings are an XOR) and a complemented root is read as it
 stands, failing where its register's bits are set. Register 0 holds the
-block's index bits, relation bits first, read up to the n*n*nag-th; a D,
-see or sse over one agent reads that agent's rows of its frame, over two
-or more a meet step (one per group and frame), over none the all-ones
-rows, and a see or sse node writes a new frame register (an [eee] is a
-see node, so it needs no case of its own).
+block's index bits, relation bits first, read up to the n*n*nag-th; the
+root is planned on the frame (0, 0). A D over G on (f, s) reads R_{G|s} of
+f: over one agent that agent's rows of f, over two or more a meet step
+(one per group and register). A see node over S (an [eee] too) plans its
+body on (f, s | S) and emits no step. An sse node on (f, s) reads every
+agent's rows, so it first builds the frame in a see step when s is
+nonempty; its own step writes a new frame register, with mask 0.
 A node's children come before it in the program, as compile_program emits
 them, so a frame is planned in two passes over the node arrays and no
 recursion: a backward one marks the nodes the frame's top node reads on
 it (all but those read only through the body of a see or sse node), and a
 forward one gives each marked node its reference from its children's. A
-see or sse node plans its body the same way on the frame its step writes,
-once per (body, frame), so updates that share a frame and a body below
-them plan it once.
+see or sse node plans its body the same way on its frame, once per (body,
+frame), so updates that share a frame and a body below them plan it once.
 Every step is emitted once per distinct (kind, inputs), in dependency
 order, so a block runs the steps in a plain loop, with no recursion and no
 lookup keyed by a frame's value; frames equal by value but built along
@@ -80,13 +82,11 @@ reads in fixed fields, so that one backward pass from the root, after the
 planner has folded x & x and x & ~x, keeps the steps the root reads,
 directly or through other steps: a step nothing reads is not in the plan,
 sse steps excepted, since each one checks definition-mismatch. Only a fold
-or a see frame that no step reads leaves a step unread, and the planner
-notes both, so a plan with neither skips the pass. Registers keep their
-numbers, and a scan's register list runs up to the last one the plan
-writes; each block writes its steps' registers into it, each after those
-it reads (any other still holds None on the first block). So no block
-builds the frame of an update over an atom ([see S] p is p) or runs the
-steps under a fold.
+leaves a step unread, and the planner notes folds, so a plan with none
+skips the pass. Registers keep their numbers, and a scan's register list
+runs up to the last one the plan writes; each block writes its steps'
+registers into it, each after those it reads (any other still holds None
+on the first block). So no block runs the steps under a fold.
 empty-group and unknown-schema (also for a node that reads one not before
 it) are raised when the plan is built, definition-mismatch when an sse
 step meets it.
@@ -322,11 +322,11 @@ def _plan(prog):
     (kind, out, x, y, w, z) writes register out from the registers x, y
     and w (0 where it reads fewer) and its other argument z."""
     p = _Plan(prog)
-    root = _frame(p, prog.root, 0)
+    root = _frame(p, prog.root, 0, 0)
     # a node's register goes up, through NOTs and update bodies, to the
-    # root or to the AND, D or sse step of a parent, and a meet step's to
-    # the step that asked for it; so only a fold or a see frame that no
-    # step reads leaves a step unread
+    # root or to the AND, D or sse step of a parent, and a meet or see
+    # step's to the step that asked for it; so only a fold leaves a step
+    # unread
     if not p.unread:
         return p.steps, root
     live = {root if root >= 0 else ~root}
@@ -345,8 +345,7 @@ class _Plan:
     register of every step. The planner's functions take it as an
     argument, so no closure calls itself and a plan leaves no reference
     cycle."""
-    __slots__ = ("prog", "nag", "ones", "steps", "regs", "frames_read",
-                 "unread")
+    __slots__ = ("prog", "nag", "ones", "steps", "regs", "unread")
 
     def __init__(self, prog):
         self.prog = prog
@@ -357,11 +356,10 @@ class _Plan:
         self.ones = 1 + len(prog.atoms)
         self.steps = []
         # (kind, x, y, w, z) of a step -> its register, and (body node,
-        # frame register) of a see or sse body planned -> its reference
+        # frame register, sender mask) of a see or sse body planned -> its
+        # reference
         self.regs = {}
-        # the frame registers some step reads, and whether a fold or a see
-        # frame that no step reads may have left a step unread
-        self.frames_read = set()
+        # whether a fold may have left a step unread
         self.unread = False
 
 
@@ -379,9 +377,7 @@ def _rows(p, g, f):
     """(register, agent) whose rows at offset agent*n*n are R_G(u, v) for
     every pair in frame register f: the all-ones rows for the empty group,
     a lone agent's rows of the frame itself, else one meet step per group
-    and frame."""
-    # every caller emits a step that reads frame f
-    p.frames_read.add(f)
+    and register. A frame (f, s) reads group G as G | s."""
     if not g:
         return p.ones, 0
     if not g & (g - 1):
@@ -395,15 +391,16 @@ def _misordered(i, c):
                         f"node {i} reads node {c}, which is not before it")
 
 
-def _frame(p, top, f):
-    """Reference to node top on frame register f: register r, or ~r for
-    the complement of register r.
+def _frame(p, top, f, s):
+    """Reference to node top on frame (f, s), register f under [see s]:
+    register r, or ~r for the complement of register r.
 
-    The nodes top reads on f are those it reaches other than through the
-    body of a see or sse node. They come before it, children first, so one
-    backward pass marks them and one forward pass gives each its reference
-    from its children's. A see or sse node's body is read on the frame its
-    step writes, by a call of its own (_body)."""
+    The nodes top reads on the frame are those it reaches other than
+    through the body of a see or sse node. They come before it, children
+    first, so one backward pass marks them and one forward pass gives each
+    its reference from its children's. A see node's body is read on
+    (f, s | S) and an sse node's on the frame register its step writes, by
+    a call of its own (_body)."""
     prog = p.prog
     kinds, a1, a2 = prog.kinds, prog.a1, prog.a2
     need = bytearray(top + 1)
@@ -448,7 +445,7 @@ def _frame(p, top, f):
             if not a1[i]:
                 raise KripkitError("empty-group", "D node with empty mask")
             c = ref[a2[i]]
-            r, ag = _rows(p, a1[i], f)
+            r, ag = _rows(p, a1[i] | s, f)
             ref[i] = (_step(p, K_D, c, r, 0, ag) if c >= 0
                       else _step(p, K_DN, ~c, r, 0, ag))
         elif k == K_TOP:
@@ -457,11 +454,7 @@ def _frame(p, top, f):
             body = a2[i]
             if body >= i:
                 raise _misordered(i, body)
-            r, ag = _rows(p, a1[i], f)
-            g = _step(p, K_SEE, f, r, 0, ag)
-            ref[i] = _body(p, body, g)
-            if g not in p.frames_read:
-                p.unread = True
+            ref[i] = _body(p, body, f, s | a1[i])
         elif k == K_SSE:
             body = prog.a3[i]
             if body >= i:
@@ -469,22 +462,28 @@ def _frame(p, top, f):
             # the crossings chi[u] ^ chi[v] are those of ~chi
             t = ref[a2[i]]
             t = t if t >= 0 else ~t
+            g = f
+            if s:
+                # an sse step reads every agent's rows: build the frame
+                r, ag = _rows(p, s, f)
+                g = _step(p, K_SEE, f, r, 0, ag)
             x = a1[i]
-            r, ag = _rows(p, x, f)
+            r, ag = _rows(p, x, g)
             senders = tuple(j for j in range(p.nag) if (x >> j) & 1)
-            ref[i] = _body(p, body, _step(p, K_SSE, f, r, t, (ag, senders)))
+            g = _step(p, K_SSE, g, r, t, (ag, senders))
+            ref[i] = _body(p, body, g, 0)
         else:
             raise KripkitError("unknown-schema", f"bad node kind {k}")
     return ref[top]
 
 
-def _body(p, body, g):
-    """Reference to the body of a see or sse node on the frame register g
-    its step writes, planned once per (body, frame): updates that share a
-    frame and a body below them would otherwise plan it once per path."""
-    got = p.regs.get((body, g))
+def _body(p, body, f, s):
+    """Reference to the body of a see or sse node on frame (f, s), planned
+    once per (body, frame): updates that share a frame and a body below
+    them would otherwise plan it once per path."""
+    got = p.regs.get((body, f, s))
     if got is None:
-        got = p.regs[body, g] = _frame(p, body, g)
+        got = p.regs[body, f, s] = _frame(p, body, f, s)
     return got
 
 

@@ -76,6 +76,8 @@ def decode_model(idx: int, n: int, agents, atoms) -> Model:
     """The model at index idx over worlds w0..w{n-1}; model_index inverts it."""
     agents = tuple(agents)
     atoms = tuple(atoms)
+    check_distinct("agent", agents)
+    check_distinct("atom", atoms)
     rows, vals = decode_index(idx, n, len(agents), len(atoms))
     worlds = tuple(f"w{i}" for i in range(n))
     return Model(worlds, agents, atoms, rows, vals)

@@ -14,7 +14,7 @@ from kripkit import engine
 from kripkit.engine import (K_ATOM, K_D, K_SEE, K_SSE, Program,
                             backend_name, compile_program, decode_index,
                             run_one, run_range)
-from kripkit.validity import enumerate_models
+from kripkit.validity import axiom_instances, enumerate_models
 from kripkit.semantics import truth_mask
 from kripkit.validity import decode_model, model_bits
 
@@ -161,7 +161,7 @@ def _step_forms(prog):
             if k == engine.K_DN:
                 forms.add("D not")
             rows = kind_of.get(y)
-            if y == 0 or rows in (K_SEE, K_SSE):
+            if y == 0 or rows == K_SSE:
                 forms.add("D frame rows")
             elif rows == engine.K_MEET:
                 forms.add("D meet")
@@ -373,7 +373,8 @@ def _oracle_scan(phi, n, agents, atoms, start, stop):
 
 def test_eee_and_see_of_the_roster_share_one_frame_step():
     # [eee] is compiled as [see Ag] for the whole roster Ag, so the two
-    # updates are one node and on one frame write one register
+    # updates are one node and plan the same steps, which their
+    # conjunction plans too
     atoms = ("p",)
     f = K("a", Atom("p"))
     for agents, g in (((), Atom("p")), (("a",), f), (AGENTS, f),
@@ -387,7 +388,9 @@ def test_eee_and_see_of_the_roster_share_one_frame_step():
     prog = compile_program(phi, AGENTS, atoms)
     assert prog.a1[prog.root] == prog.a2[prog.root]
     steps, _ = engine._plan(prog)
-    assert [k for k, *_ in steps if k in (K_SEE, K_SSE)] == [K_SEE]
+    assert steps == engine._plan(compile_program(Eee(f), AGENTS, atoms))[0]
+    assert steps == engine._plan(
+        compile_program(See(frozenset(AGENTS), f), AGENTS, atoms))[0]
     for n in (1, 2):
         top = 1 << model_bits(n, len(AGENTS), len(atoms))
         worlds = [_first_failing_world(decode_model(i, n, AGENTS, atoms), phi)
@@ -398,6 +401,37 @@ def test_eee_and_see_of_the_roster_share_one_frame_step():
             want = ((fails[0], worlds[fails[0]], fails[0] - start + 1)
                     if fails else (-1, -1, top - start))
             assert run_range(prog, n, start, top) == want, (n, start)
+
+
+def test_see_frames_plan_as_meets_on_the_frame_below():
+    # under [see S] a group's relation R_G is R_{G|S} of the frame below
+    # (the see-D axiom; [eee] is [see Ag]), so each pair plans the same
+    # steps and root, and both sides of an sse-free see-D or eee-D axiom
+    # plan the same D step, which the Iff folds away
+    p, a, b, ab = Atom("p"), frozenset("a"), frozenset("b"), frozenset(AGENTS)
+    pairs = [(See(b, D(a, p)), D(ab, See(b, p))),
+             (See(a, See(b, K("a", p))), See(ab, K("a", p))),
+             (Eee(D(a, p)), D(ab, Eee(p)))]
+    cases = [(phi, (1, 2)) for pair in pairs for phi in pair]
+    for left, right in pairs:
+        plan = engine._plan(compile_program(left, AGENTS, ATOMS))
+        assert plan == engine._plan(compile_program(right, AGENTS, ATOMS))
+        assert [k for k, *_ in plan[0]] == [engine.K_MEET, K_D]
+    for schema in ("see-D", "eee-D"):
+        kept = 0
+        for phi in axiom_instances(schema, count=200):
+            prog = compile_program(phi, AGENTS, ATOMS)
+            if K_SSE not in prog.kinds:
+                assert engine._plan(prog)[0] == [], phi
+                cases.append((phi, (1,)))
+                kept += 1
+        assert kept == 184
+    for phi, sizes in cases:
+        prog = compile_program(phi, AGENTS, ATOMS)
+        for n in sizes:
+            top = 1 << model_bits(n, len(AGENTS), len(ATOMS))
+            assert run_range(prog, n, 0, top) == \
+                _oracle_scan(phi, n, AGENTS, ATOMS, 0, top), (phi, n)
 
 
 def test_excluded_middle_plans_no_step():
@@ -422,19 +456,29 @@ def test_excluded_middle_plans_no_step():
     assert dropped
 
 
-@pytest.mark.parametrize("body", [Atom("p"), And(Atom("p"), Atom("p"))],
-                         ids=["p", "p-and-p"])
-def test_a_kept_sse_step_still_checks_its_two_forms(monkeypatch, body):
+_P = Atom("p")
+
+
+@pytest.mark.parametrize("phi, agents, kinds", [
+    (Sse(frozenset("a"), _P, _P), ("a",), [K_SSE]),
+    (Sse(frozenset("a"), _P, And(_P, _P)), ("a",), [K_SSE]),
+    (See(frozenset("b"), Sse(frozenset("a"), _P, _P)), AGENTS,
+     [K_SEE, K_SSE]),
+], ids=["p", "p-and-p", "see-over-sse"])
+def test_a_kept_sse_step_still_checks_its_two_forms(monkeypatch, phi, agents,
+                                                    kinds):
     # [sse {a} | p] p is p: the sse step writes a frame nothing reads, yet it
     # is planned, and it still compares its subtractive and intersection
     # forms on every block. The fold of p & p makes the plan run its
-    # backward pass, which keeps the step too.
-    prog = compile_program(Sse(frozenset("a"), Atom("p"), body),
-                           ("a",), ("p",))
+    # backward pass, which keeps the step too. Under [see {b}] the sse step
+    # reads every agent's rows of the see frame, so a see step builds it:
+    # the one place a see step is planned.
+    prog = compile_program(phi, agents, ("p",))
     steps, root = engine._plan(prog)
-    assert [k for k, *_ in steps] == [K_SSE] and root == 1
-    top = 1 << model_bits(2, 1, 1)
-    assert run_range(prog, 2, 0, top) == (0, 0, 1)
+    assert [k for k, *_ in steps] == kinds and root == 1
+    top = 1 << model_bits(2, len(agents), 1)
+    assert run_range(prog, 2, 0, top) == \
+        _oracle_scan(phi, 2, agents, ("p",), 0, top) == (0, 0, 1)
     monkeypatch.setattr(engine, "and_", engine.or_)
     with pytest.raises(KripkitError) as e:
         run_range(prog, 2, 0, top)
@@ -698,7 +742,7 @@ def test_checks_leave_no_cyclic_garbage():
 
 
 def test_updates_sharing_a_frame_plan_their_body_once(monkeypatch):
-    # [see a] W & [see a] (W & p) writes one frame for both updates, and W
+    # [see a] W & [see a] (W & p) reads both bodies on one frame, and W
     # holds the same pair one level down: planned once per (body, frame),
     # the plan takes two body passes per level, where one per path would
     # take 2**depth
@@ -711,11 +755,10 @@ def test_updates_sharing_a_frame_plan_their_body_once(monkeypatch):
     passes = []
     frame = engine._frame
     monkeypatch.setattr(engine, "_frame",
-                        lambda p, top, f: passes.append(top) or
-                        frame(p, top, f))
-    steps, root = engine._plan(prog)
+                        lambda p, top, f, s: passes.append(top) or
+                        frame(p, top, f, s))
+    engine._plan(prog)
     assert len(passes) == 1 + 2 * depth
-    assert [k for k, *_ in steps].count(K_SEE) == depth
     top = 1 << model_bits(1, 1, 1)
     assert run_range(prog, 1, 0, top) == \
         _oracle_scan(w, 1, ("a",), ("p",), 0, top)

@@ -112,10 +112,15 @@ def test_bounds_validation():
 
 
 def test_duplicate_roster_entries_rejected():
-    for agents, atoms in ((("a", "b", "a"), ("p",)), (("a",), ("p", "p"))):
-        with pytest.raises(KripkitError) as e:
-            SearchBounds(2, agents, atoms)
-        assert e.value.code == "duplicate-roster-entry"
+    # the model codec refuses the rosters SearchBounds refuses
+    for agents, atoms in ((("a", "b", "a"), ("p",)), (("a",), ("p", "p")),
+                          (("a", "a"), ())):
+        for call in (lambda: SearchBounds(2, agents, atoms),
+                     lambda: decode_model(0, 1, agents, atoms),
+                     lambda: next(enumerate_models(1, agents, atoms))):
+            with pytest.raises(KripkitError) as e:
+                call()
+            assert e.value.code == "duplicate-roster-entry"
 
 
 @pytest.mark.parametrize("sample", [None, 50])

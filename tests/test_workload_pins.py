@@ -67,44 +67,55 @@ def test_axiom_sweep_verdicts_are_pinned():
         "2ef4f38ce251d227b9f2e4bdb3dcfd37")
 
 
+def _plan_kinds(prog, nat, text):
+    """The kinds of prog's plan steps, once the plan's invariants hold: a
+    plan keeps a step only if the root or a later step reads its register,
+    or if it is an sse step (each one checks definition-mismatch), and a
+    see step only to build the frame an sse step reads. A step reads only
+    registers set once per scan (below nat + 3) or written by an earlier
+    step, as the scan's one register list for all its blocks needs."""
+    steps, root = engine._plan(prog)
+    read = {root if root >= 0 else ~root}
+    sse_read = set()
+    for k, o, x, y, w, z in reversed(steps):
+        assert o in read or k == engine.K_SSE, text
+        assert k != engine.K_SEE or o in sse_read, text
+        read.update((x, y, w))
+        if k == engine.K_SSE:
+            sse_read.add(x)
+    written = set(range(nat + 3))
+    for k, o, x, y, w, z in steps:
+        assert {x, y, w} <= written, text
+        written.add(o)
+    assert (root if root >= 0 else ~root) in written, text
+    return [k for k, *_ in steps]
+
+
 def test_axiom_sweep_plans_hold_only_steps_that_are_read():
-    # a plan keeps a step only if the root or a later step reads its
-    # register, or if it is an sse step (each one checks
-    # definition-mismatch); the count of steps is pinned. A step reads only
-    # registers set once per scan (below nat + 3) or written by an earlier
-    # step, as the scan's one register list for all its blocks needs
+    # the plans hold _plan_kinds's invariants, and the count of steps of
+    # each kind is pinned
     ops = _ops("axiom-sweep", 101, "eee663b8b3ddf38537f8b0ce79dc7b34"
                                    "23bf87a569ea58855d539c43ab35d272")[:3000]
     assert len(ops) == 3000
     bounds = workloads.AXIOM_BOUNDS
     kinds = Counter()
     for text in ops:
-        steps, root = engine._plan(engine.restrict_program(
-            engine.compile_program(parse(text), bounds.agents,
-                                   bounds.atoms)))
-        read = {root if root >= 0 else ~root}
-        for k, o, x, y, w, z in reversed(steps):
-            assert o in read or k == engine.K_SSE, text
-            read.update((x, y, w))
-        written = set(range(len(bounds.atoms) + 3))
-        for k, o, x, y, w, z in steps:
-            assert {x, y, w} <= written, text
-            written.add(o)
-        assert (root if root >= 0 else ~root) in written, text
-        kinds.update(k for k, *_ in steps)
-    # 3.657 steps per op
-    assert sum(kinds.values()) == 10970
-    assert kinds == {engine.K_AND: 490, engine.K_ANDN: 2361,
-                     engine.K_OR: 998, engine.K_D: 3150, engine.K_DN: 733,
-                     engine.K_MEET: 1372, engine.K_SEE: 750,
+        prog = engine.restrict_program(engine.compile_program(
+            parse(text), bounds.agents, bounds.atoms))
+        kinds.update(_plan_kinds(prog, len(bounds.atoms), text))
+    # 2.476 steps per op; every see step builds a frame under an sse
+    assert sum(kinds.values()) == 7429
+    assert kinds == {engine.K_AND: 475, engine.K_ANDN: 1547,
+                     engine.K_OR: 594, engine.K_D: 2142, engine.K_DN: 598,
+                     engine.K_MEET: 869, engine.K_SEE: 88,
                      engine.K_SSE: 1116}
 
 
 def test_refute_plans_hold_only_steps_that_are_read():
     # every refute op planned as check_validity plans it: the program
     # restricted to the agents it reads for an exhaustive op, the full one
-    # for a sampled op. The plan invariants are those of the axiom-sweep
-    # plans above, and the count of steps of each kind is pinned
+    # for a sampled op. The plans hold _plan_kinds's invariants, and the
+    # count of steps of each kind is pinned
     ops = _ops("refute", 103, "786bdfe65627afb50e0c871696eb5fb7"
                               "f36044f2a6c1d8ee5accdca60599f529")
     assert len(ops) == 6606
@@ -114,23 +125,12 @@ def test_refute_plans_hold_only_steps_that_are_read():
                                       bounds.atoms)
         if bounds.sample is None:
             prog = engine.restrict_program(prog)
-        steps, root = engine._plan(prog)
-        read = {root if root >= 0 else ~root}
-        for k, o, x, y, w, z in reversed(steps):
-            assert o in read or k == engine.K_SSE, text
-            read.update((x, y, w))
-        written = set(range(len(bounds.atoms) + 3))
-        for k, o, x, y, w, z in steps:
-            assert {x, y, w} <= written, text
-            written.add(o)
-        assert (root if root >= 0 else ~root) in written, text
-        kinds.update(k for k, *_ in steps)
-    # 5.013 steps per op
-    assert sum(kinds.values()) == 33115
+        kinds.update(_plan_kinds(prog, len(bounds.atoms), text))
+    # 4.855 steps per op, none of them a see step
+    assert sum(kinds.values()) == 32072
     assert kinds == {engine.K_AND: 1954, engine.K_ANDN: 7977,
                      engine.K_OR: 6080, engine.K_D: 4388, engine.K_DN: 8472,
-                     engine.K_MEET: 3030, engine.K_SEE: 802,
-                     engine.K_SSE: 412}
+                     engine.K_MEET: 2789, engine.K_SSE: 412}
 
 
 def test_every_benchmark_text_round_trips():
