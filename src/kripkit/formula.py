@@ -13,7 +13,7 @@ a primitive so that the reduction bookkeeping stays strictly decreasing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import FrozenSet
 
 from .kripke_core import KripkitError
@@ -161,11 +161,17 @@ def desugar(phi: Formula) -> Formula:
 
 
 class _Shared:
-    """A hash-consing table, core_form's target and translate._step's. A
+    """A hash-consing table, core_form's target and translate._clause's. A
     node is keyed by its class and the ids of its up to three arguments
     (groups are interned too, a missing argument is None), so no lookup
-    hashes a subtree; the table holds its nodes, so no id is reused. Each
-    node it builds or Atom or Top it interns has its (ndc, nsc) pair."""
+    hashes a subtree; the table holds its nodes, so no id is reused.
+
+    A missing node is built in one call together with its (ndc, nsc) pair:
+    its fields are set in field order, as the dataclass __init__ sets them,
+    and its pair is made by _rule from its children's pairs. A group
+    argument arrives as a frozenset interned by group(), so the __init__'s
+    freezing is not needed; an empty D or Dhat group still raises. Each
+    node it builds or Atom or Top it interns has its pair."""
 
     def __init__(self):
         self.nodes = {}
@@ -174,9 +180,18 @@ class _Shared:
         key = (cls, id(x), id(y), id(z))
         got = self.nodes.get(key)
         if got is None:
-            got = self.nodes[key] = (cls(x) if y is None else cls(x, y)
-                                     if z is None else cls(x, y, z))
-            _pair(got)
+            if not x and (cls is D or cls is Dhat):
+                raise KripkitError("empty-group",
+                                   f"{cls.__name__} needs a nonempty group")
+            got = self.nodes[key] = _new(cls)
+            names = _FIELDS[cls]
+            _set(got, names[0], x)
+            if y is not None:
+                _set(got, names[1], y)
+                if z is not None:
+                    _set(got, names[2], z)
+            pair = _rule(cls, x, y, z)
+            _set(got, _MEASURES, _PAIRS.setdefault(pair, pair))
         return got
 
     def atom(self, f):
@@ -289,50 +304,65 @@ def _core(f: Formula, t, done: dict):
     return out
 
 
-# The (ndc, nsc) pair of a node is made once, by _pair from its children's
+# The (ndc, nsc) pair of a node is made once, by _rule from its children's
 # pairs, and kept on the node under this one attribute; a second lazily set
-# attribute would cost every node a full instance dict. _Shared applies
-# _pair to each node it builds and each Atom or Top it interns, so their
-# pairs are set from birth; _measures pairs any other node, children first.
-# Equal pairs are shared through _PAIRS (one entry per distinct pair, a few
-# hundred over hundreds of stacked-update translations), so the cache adds
-# no tuple per node. Construction, equality and hashing are untouched:
+# attribute would cost every node a full instance dict. _Shared sets the
+# pair of each node as it builds it and of each Atom or Top it interns, so
+# their pairs are set from birth; _measures pairs any other node, children
+# first. Equal pairs are shared through _PAIRS (one entry per distinct pair,
+# a few hundred over hundreds of stacked-update translations), so the cache
+# adds no tuple per node. Construction, equality and hashing are untouched:
 # the attribute is not a dataclass field. Formula declares it as None, so
 # reading an unset pair is a plain attribute read that does not raise.
 _MEASURES = "_measures_"
 _PAIRS: dict = {}
+_new = object.__new__
+_set = object.__setattr__
+# class the table builds -> its field names, in the order __init__ sets them
+_FIELDS = {c: tuple(f.name for f in fields(c))
+           for c in (Not, And, D, Eee, See, Sse, Dhat)}
+
+
+def _rule(c, x=None, y=None, z=None) -> tuple:
+    """The (ndc, nsc) pair of the node c(x, y, z), by c's rule from the
+    pairs its formula arguments carry; the commonest classes first."""
+    if c is And or c is Or or c is Implies or c is Iff:
+        d1, s1 = x._measures_
+        d2, s2 = y._measures_
+        return (d1 if d1 > d2 else d2, 1 + (s1 if s1 > s2 else s2))
+    if c is Not:
+        d, s = x._measures_
+        return (d, 1 + s)
+    if c is D or c is K:
+        d, s = y._measures_
+        return (d, 1 + s)
+    if c is See:
+        d, s = y._measures_
+        return (1 + d, 2 * s)
+    if c is Eee:
+        d, s = x._measures_
+        return (1 + d, 2 * s)
+    if c is Sse:
+        dt, st = y._measures_
+        ds, ss = z._measures_
+        return (1 + dt + ds, (8 + st) * ss)
+    if c is Dhat:
+        dt, _ = y._measures_
+        ds, ss = z._measures_
+        return (max(dt, ds), 7 + ss)
+    if c is Atom or c is Top:
+        return (0, 1)
+    if c is Bot:
+        return (0, 2)  # measures its desugared form ~Top
+    raise KripkitError("not-a-formula", repr(c))
 
 
 def _pair(phi: Formula) -> tuple:
-    """phi's (ndc, nsc), made by its class's rule from its children's pairs,
-    which it reads as set, and cached on phi."""
-    t = type(phi)
-    if t is Not or t is D or t is K:
-        d, s = phi.sub._measures_
-        pair = (d, 1 + s)
-    elif t is And or t is Or or t is Implies or t is Iff:
-        d1, s1 = phi.left._measures_
-        d2, s2 = phi.right._measures_
-        pair = (d1 if d1 > d2 else d2, 1 + (s1 if s1 > s2 else s2))
-    elif t is Eee or t is See:
-        d, s = phi.sub._measures_
-        pair = (1 + d, 2 * s)
-    elif t is Sse:
-        dt, st = phi.topic._measures_
-        ds, ss = phi.sub._measures_
-        pair = (1 + dt + ds, (8 + st) * ss)
-    elif t is Dhat:
-        dt, _ = phi.topic._measures_
-        ds, ss = phi.sub._measures_
-        pair = (max(dt, ds), 7 + ss)
-    elif t is Atom or t is Top:
-        pair = (0, 1)
-    elif t is Bot:
-        pair = (0, 2)  # measures its desugared form ~Top
-    else:
-        raise KripkitError("not-a-formula", repr(phi))
+    """phi's (ndc, nsc) by _rule over its fields, whose pairs it reads as
+    set, cached on phi."""
+    pair = _rule(type(phi), *vars(phi).values())
     pair = _PAIRS.setdefault(pair, pair)
-    object.__setattr__(phi, _MEASURES, pair)
+    _set(phi, _MEASURES, pair)
     return pair
 
 

@@ -12,10 +12,16 @@ Each formula is translated once: its step is recorded once, each of its
 calls is checked once, and a repeat shares its result. The trace holds
 each distinct step once. A plain recursion records a step's calls' steps
 right after it, so the flat trace it would record is built from the
-distinct steps on first read. The output is a DAG. The clauses run from
-one explicit stack: under CPython 3.11 a deep recursion frees and faults
-in frame-stack memory as it unwinds, at a cost that depends on the
-caller's depth.
+distinct steps on first read. The output is a DAG.
+
+The rewrite clauses form one table, _clause, which picks a clause by the
+class of a formula and returns its name, the formulas it calls for and a
+finisher that builds its result from their translations; no step makes a
+generator. dyn-dyn is the one clause whose second call depends on its
+first call's translation, so its finisher appends that call. The clauses
+run from one explicit stack: under CPython 3.11 a deep recursion frees
+and faults in frame-stack memory as it unwinds, at a cost that depends on
+the caller's depth.
 """
 from __future__ import annotations
 
@@ -104,82 +110,125 @@ def _tau(phi: Formula, roster, table: _Shared):
     """(translation of phi, its distinct steps as TranslationTrace takes
     them)."""
     distinct = {}  # id of a formula -> its step, in the order they finish
-    stack = []  # (formula, its _step generator, its calls)
+    stack = []  # (formula, clause, calls, their results, finisher)
     g = phi
     while True:
         got = distinct.get(id(g))
         if got is None:
-            stack.append((g, _step(g, roster, table), []))
-            result = None
+            clause, calls, finish = _clause(g, roster, table)
+            stack.append((g, clause, calls, [], finish))
         else:
-            result = got.result
+            stack[-1][3].append(got.result)
         while stack:
-            f, step, calls = stack[-1]
-            try:
-                g = step.send(result)
-            except StopIteration as stop:
-                result, clause = stop.value
-                stack.pop()
-                distinct[id(f)] = TraceStep(f, clause, tuple(calls), result)
-                continue
+            f, clause, calls, results, finish = stack[-1]
+            i = len(results)
+            if i == len(calls):
+                result = finish(table, f, calls, results)
+                if i == len(calls):  # no call was added: f is translated
+                    stack.pop()
+                    distinct[id(f)] = TraceStep(f, clause, tuple(calls),
+                                                result)
+                    if stack:
+                        stack[-1][3].append(result)
+                    continue
+            g = calls[i]
             if not c_greater(f, g):
                 raise KripkitError("measure-violation",
                                    "no (ndc, nsc) decrease from ndc "
                                    f"{_measures(f)[0]} to {_measures(g)[0]}")
-            calls.append(g)
             break
         else:
             return result, distinct
 
 
 def _rewrap(t, op: Formula, sub: Formula) -> Formula:
-    if isinstance(op, Eee):
+    c = type(op)
+    if c is Eee:
         return t.emit(Eee, sub)
-    if isinstance(op, See):
+    if c is See:
         return t.emit(See, op.group, sub)
     return t.emit(Sse, op.group, op.topic, sub)
 
 
-def _step(f: Formula, roster, t):
-    """One rewrite clause on f, as a generator: it yields each formula it
-    needs translated, is sent back its translation, and returns (result,
-    clause). Every formula it makes is built through target t."""
-    emit = t.emit
-    if isinstance(f, (Atom, Top)):
-        return f, "atom"
-    if isinstance(f, Not):
-        return emit(Not, (yield f.sub)), "not"
-    if isinstance(f, And):
-        return emit(And, (yield f.left), (yield f.right)), "and"
-    if isinstance(f, D):
-        return emit(D, f.group, (yield f.sub)), "dist"
-    if isinstance(f, Dhat):
-        # expand around the two already-reduced components; the expansion
-        # itself is static, so no further call on it
-        return _dhat(t, f.group, (yield f.topic), (yield f.sub)), "dhat"
-    if isinstance(f, (Eee, See, Sse)):
+# Finishers: each builds a clause's result through target t from f, the
+# formulas it called for and their translations r, in the same order.
+def _itself(t, f, calls, r):
+    return f
+
+
+def _first(t, f, calls, r):
+    return r[0]
+
+
+def _not(t, f, calls, r):
+    return t.emit(Not, r[0])
+
+
+def _and(t, f, calls, r):
+    return t.emit(And, r[0], r[1])
+
+
+def _dist(t, f, calls, r):
+    return t.emit(D, f.group, r[0])
+
+
+def _dhat_of(t, f, calls, r):
+    # expand around the two already-reduced components; the expansion
+    # itself is static, so no further call on it
+    return _dhat(t, f.group, r[0], r[1])
+
+
+def _dyn_dyn(t, f, calls, r):
+    if len(r) == 1:  # the inner update is translated: call for f over it
+        calls.append(_rewrap(t, f, r[0]))
+        return None
+    return r[1]
+
+
+def _clause(f: Formula, roster, t):
+    """The rewrite clause on f: (its name, the formulas it calls for, its
+    finisher). The finisher is called once the calls are translated and
+    builds f's translation from theirs; dyn-dyn's finisher, given its first
+    call's translation, instead appends its second call. f is a core form,
+    so its class and its children's are core classes. Every formula a
+    clause makes is built through target t."""
+    c = type(f)
+    if c is Eee or c is See or c is Sse:
         inner = f.sub
-        if isinstance(inner, (Atom, Top)):
-            return (yield inner), "dyn-atom"
-        if isinstance(inner, Not):
-            return (yield emit(Not, _rewrap(t, f, inner.sub))), "dyn-not"
-        if isinstance(inner, And):
-            return (yield emit(And, _rewrap(t, f, inner.left),
-                               _rewrap(t, f, inner.right))), "dyn-and"
-        if isinstance(inner, D):
-            if isinstance(f, Eee):
+        i = type(inner)
+        if i is Atom or i is Top:
+            return "dyn-atom", [inner], _first
+        emit = t.emit
+        if i is Not:
+            return "dyn-not", [emit(Not, _rewrap(t, f, inner.sub))], _first
+        if i is And:
+            return "dyn-and", [emit(And, _rewrap(t, f, inner.left),
+                                    _rewrap(t, f, inner.right))], _first
+        if i is D:
+            if c is Eee:
                 if not roster:
                     raise KripkitError("empty-group",
                                        "roster needed to push D past [eee]")
-                return (yield emit(D, t.group(roster),
-                                   emit(Eee, inner.sub))), "eee-dist"
-            if isinstance(f, See):
-                return (yield emit(D, t.group(f.group | inner.group),
-                                   emit(See, f.group, inner.sub))), "see-dist"
+                return "eee-dist", [emit(D, t.group(roster),
+                                         emit(Eee, inner.sub))], _first
+            if c is See:
+                return "see-dist", [emit(D, t.group(f.group | inner.group),
+                                         emit(See, f.group, inner.sub))], \
+                    _first
             moved = emit(Sse, f.group, f.topic, inner.sub)
             both = emit(And, emit(D, t.group(f.group | inner.group), moved),
                         emit(Dhat, inner.group, f.topic, moved))
-            return (yield both), "sse-dist"
-        if isinstance(inner, (Eee, See, Sse)):
-            return (yield _rewrap(t, f, (yield inner))), "dyn-dyn"
+            return "sse-dist", [both], _first
+        if i is Eee or i is See or i is Sse:
+            return "dyn-dyn", [inner], _dyn_dyn
+    elif c is And:
+        return "and", [f.left, f.right], _and
+    elif c is Not:
+        return "not", [f.sub], _not
+    elif c is Atom or c is Top:
+        return "atom", [], _itself
+    elif c is D:
+        return "dist", [f.sub], _dist
+    elif c is Dhat:
+        return "dhat", [f.topic, f.sub], _dhat_of
     raise KripkitError("measure-violation", f"no clause applies to {f}")

@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Optional
 
-from .engine import (compile_program, decode_index, model_bits,
+from .engine import (_space_bits, compile_program, decode_index, model_bits,
                      restrict_program, run_one, run_range, widen_index)
 # decode_model's inverse, imported from here by callers
 from .engine import model_index  # noqa: F401
@@ -84,11 +84,17 @@ def decode_model(idx: int, n: int, agents, atoms) -> Model:
 
 
 def enumerate_models(n: int, agents, atoms):
-    """All models of the given shape, in index order."""
+    """An iterator over all models of the given shape, in index order. The
+    rosters and n are checked at the call, as decode_model checks them, and
+    the models are decoded without checking them again."""
     agents, atoms = tuple(agents), tuple(atoms)
-    B = model_bits(n, len(agents), len(atoms))
-    for idx in range(1 << B):
-        yield decode_model(idx, n, agents, atoms)
+    check_distinct("agent", agents)
+    check_distinct("atom", atoms)
+    nag, nat = len(agents), len(atoms)
+    B = _space_bits(n, nag, nat)
+    worlds = tuple(f"w{i}" for i in range(n))
+    return (Model(worlds, agents, atoms, *decode_index(idx, n, nag, nat))
+            for idx in range(1 << B))
 
 
 def _reverified(phi: Formula, model: Model, w: int) -> PointedModel:

@@ -371,7 +371,7 @@ def _oracle_scan(phi, n, agents, atoms, start, stop):
     return -1, -1, stop - start
 
 
-def test_eee_and_see_of_the_roster_share_one_frame_step():
+def test_eee_and_see_of_the_roster_plan_the_same_steps():
     # [eee] is compiled as [see Ag] for the whole roster Ag, so the two
     # updates are one node and plan the same steps, which their
     # conjunction plans too
@@ -485,11 +485,7 @@ def test_a_kept_sse_step_still_checks_its_two_forms(monkeypatch, phi, agents,
     assert e.value.code == "definition-mismatch"
 
 
-@pytest.mark.parametrize("wrap", ["eee-eee", "see-see", "sse-still"])
-def test_frames_equal_by_value_in_separate_registers(wrap):
-    # [eee][eee], [see S][see S], [see S][see {}] and an sse whose topic
-    # never crosses build a frame equal to the one below it, in a register
-    # of its own
+def _wrapped_frames_scan_as_the_oracle(wrap):
     rng = random.Random(71)
     agents, atoms = AGENTS, ("p",)
     p = Atom("p")
@@ -498,14 +494,22 @@ def test_frames_equal_by_value_in_separate_registers(wrap):
                   K(agents[trial % 2], p))
         group = _group(rng, agents)
         if wrap == "eee-eee":
+            single = Eee(phi)
             phi = And(Eee(phi), Eee(Eee(phi)))
         elif wrap == "see-see":
             # see with the empty group keeps the frame it is given
+            single = See(group, phi)
             phi = And(See(group, See(group, phi)),
                       See(group, See(frozenset(), phi)))
         else:
             still = Or(p, Not(p)) if trial % 2 else K("a", Or(p, Not(p)))
             phi = And(phi, Sse(group, still, phi))
+        plan = engine._plan(compile_program(phi, agents, atoms))
+        if wrap == "sse-still":
+            assert K_SSE in [k for k, *_ in plan[0]], phi
+        else:
+            assert plan == engine._plan(compile_program(single, agents,
+                                                        atoms)), phi
         if trial % 2:
             phi = Or(phi, Not(phi))
         prog = compile_program(phi, agents, atoms)
@@ -514,6 +518,21 @@ def test_frames_equal_by_value_in_separate_registers(wrap):
             for a, b in ((0, top), (rng.randrange(top), top)):
                 assert run_range(prog, n, a, b) == \
                     _oracle_scan(phi, n, agents, atoms, a, b), (phi, n, a, b)
+
+
+@pytest.mark.parametrize("wrap", ["eee-eee", "see-see"])
+def test_repeated_eee_and_see_plan_as_the_single_update(wrap):
+    # a see frame is (register, sender mask), and [eee] is [see Ag]: under
+    # [eee][eee], [see S][see S] and [see S][see {}] the body sits on the
+    # single update's frame, so the conjunction plans exactly what the
+    # single update plans
+    _wrapped_frames_scan_as_the_oracle(wrap)
+
+
+def test_a_still_sse_builds_its_frame_in_a_register_of_its_own():
+    # an sse whose topic never crosses builds a frame equal to the one below
+    # it, in a register of its own, by its K_SSE step
+    _wrapped_frames_scan_as_the_oracle("sse-still")
 
 
 def test_one_program_at_several_sizes_and_widths(monkeypatch):

@@ -317,6 +317,28 @@ def test_measure_cache_leaves_construction_and_equality_alone():
     assert len(vars(fresh)) == len(names)
 
 
+def test_table_builds_nodes_as_their_constructors_do():
+    F = importlib.import_module("kripkit.formula")
+    t = F._Shared()
+    p, q = t.atom(Atom("p")), t.atom(Atom("q"))
+    g, h = t.group("ab"), t.group("b")
+    eee = t.emit(Eee, q)
+    cases = [(Not, (p,)), (And, (p, eee)), (D, (g, q)), (Eee, (p,)),
+             (See, (h, eee)), (Sse, (h, p, eee)), (Dhat, (g, eee, q))]
+    for cls, args in cases:
+        built = t.emit(cls, *args)
+        want = cls(*args)
+        assert built == want and hash(built) == hash(want)
+        assert print_formula(built) == print_formula(want)
+        assert list(vars(built)) == list(vars(want)) + ["_measures_"]
+        # the pair set at birth is the fallback walk's on a fresh copy
+        assert built._measures_ == F._measures(parse(print_formula(want)))
+    for cls, args in ((D, (frozenset(), p)), (Dhat, (frozenset(), p, q))):
+        with pytest.raises(KripkitError) as e:
+            t.emit(cls, *args)
+        assert e.value.code == "empty-group"
+
+
 def test_desugar_static_core():
     p, q = Atom("p"), Atom("q")
     assert desugar(Or(p, q)) == Not(And(Not(p), Not(q)))

@@ -247,12 +247,11 @@ import importlib
 from kripkit import Atom, Eee
 TR = importlib.import_module("kripkit.translate")
 
-def _step(f, roster, t):
-    return Eee(Atom("p")), "atom"
-    yield
+def _clause(f, roster, t):
+    return "atom", [], lambda t, f, calls, r: Eee(Atom("p"))
 
 
-TR._step = _step
+TR._clause = _clause
 TR.translate(Atom("p"))
 """),
     # the same with 3,000 updates left behind, built outside the table: the
@@ -265,12 +264,11 @@ deep = Atom("p")
 for _ in range(3000):
     deep = Eee(deep)
 
-def _step(f, roster, t):
-    return deep, "atom"
-    yield
+def _clause(f, roster, t):
+    return "atom", [], lambda t, f, calls, r: deep
 
 
-TR._step = _step
+TR._clause = _clause
 TR.translate(Atom("p"))
 """),
     # a clause that calls for a directly built [eee] chain 3,000 deep: the
@@ -283,12 +281,11 @@ deep = Atom("p")
 for _ in range(3000):
     deep = Eee(deep)
 
-def _step(f, roster, t):
-    yield deep
-    return f, "atom"
+def _clause(f, roster, t):
+    return "atom", [deep], lambda t, f, calls, r: f
 
 
-TR._step = _step
+TR._clause = _clause
 TR.translate(Atom("p"))
 """),
     "row-count-mismatch": ("row-count-mismatch", """
@@ -319,7 +316,7 @@ def test_invariant_checks_run_under_optimize(case):
 
 
 class _Tree:
-    """A core_form and _step target that shares nothing: each node it
+    """A core_form and _clause target that shares nothing: each node it
     emits is a new object."""
 
     @staticmethod
@@ -334,7 +331,7 @@ class _Tree:
 
 
 def _reference_traced(phi, agents):
-    """Plain recursion over translate._step, no memo and no shared table:
+    """Plain recursion over translate._clause, no memo and no shared table:
     the trace as the rewrite clauses define it."""
     TR = importlib.import_module("kripkit.translate")
     F = importlib.import_module("kripkit.formula")
@@ -344,17 +341,17 @@ def _reference_traced(phi, agents):
     def tau(f):
         entry = len(steps)
         steps.append(None)
-        calls = []
-        step, got = TR._step(f, roster, _Tree), None
+        clause, calls, finish = TR._clause(f, roster, _Tree)
+        got = []
         while True:
-            try:
-                g = step.send(got)
-            except StopIteration as stop:
-                result, clause = stop.value
+            while len(got) < len(calls):
+                g = calls[len(got)]
+                assert c_greater(f, g)
+                got.append(tau(g))
+            n = len(calls)
+            result = finish(_Tree, f, calls, got)
+            if len(calls) == n:  # the finisher added no call
                 break
-            assert c_greater(f, g)
-            calls.append(g)
-            got = tau(g)
         steps[entry] = (f, clause, tuple(calls), result)
         return result
 

@@ -123,6 +123,16 @@ def test_duplicate_roster_entries_rejected():
             assert e.value.code == "duplicate-roster-entry"
 
 
+def test_enumerate_models_checks_its_shape_at_the_call():
+    # the shape is refused when the iterator is made, before any model
+    with pytest.raises(KripkitError) as e:
+        enumerate_models(1, ("a", "a"), ())
+    assert e.value.code == "duplicate-roster-entry"
+    with pytest.raises(KripkitError) as e:
+        enumerate_models(0, ("a",), ("p",))
+    assert e.value.code == "bounds-too-large"
+
+
 @pytest.mark.parametrize("sample", [None, 50])
 def test_rejected_countermodel_has_a_stable_code(sample, monkeypatch):
     # a kernel that reports a model where the formula holds is caught by

@@ -169,3 +169,24 @@ def test_translate_check_results_are_pinned():
     assert h.hexdigest() == (
         "511ee66d59eb6648647dd9488ea40f53"
         "a72a7997ac5b771f36ca290183c6ae56")
+
+
+def test_every_translate_check_translation_is_pinned():
+    # all 2,040 ops: the output's text, the flat trace's length and the
+    # clauses of the distinct steps in the order the flat trace first meets
+    # them
+    ops = _ops("translate-check", 61, "c17752a0c96d002324fa68a71ea1887c"
+                                      "56caa4b4c065c36911a4230d883425a9")
+    assert len(ops) == 2040
+    h = hashlib.sha256()
+    for text, _ in ops:
+        out, trace = translate_traced(parse(text),
+                                      agents=workloads.PAIR_AGENTS)
+        clauses = {}
+        for step in trace:
+            clauses.setdefault(id(step), step.clause)
+        h.update(f"{print_formula(out)}\n{len(trace)}\n"
+                 f"{' '.join(clauses.values())}\n".encode())
+    assert h.hexdigest() == (
+        "68abfcaed9137829639474d308a711e5"
+        "18a8841a4f42d801169cc0b56c6e325b")
